@@ -1,39 +1,24 @@
-// bench_stream — streaming runtime study in two parts.
+// bench_stream — shard scheduler study: static stride assignment
+// (ParallelFor) vs the work-stealing pool on a skewed-shard workload.
 //
-// Part 1, dispatch A/B: static stride assignment (ParallelFor) vs the
-// work-stealing pool on a skewed-shard workload. The skew pattern is the
-// stride-resonance pathology work stealing exists to fix: one heavy shard
-// per fixed-size group (think "the downtown partition of every window"),
-// so with W workers and a heavy period sharing a divisor with W, static
-// dispatch piles several heavy shards onto one worker while the rest idle.
-// Work stealing re-balances at runtime and should win >= 1.3x. Shard
-// durations are emulated with timed sleeps, which isolates the scheduling
-// policy and makes the A/B machine-independent (a CPU-spin variant would
-// additionally need >= W free cores to show the same gap).
+// The skew pattern is the stride-resonance pathology work stealing exists
+// to fix: one heavy shard per fixed-size group (think "the downtown
+// partition of every window"), so with W workers and a heavy period
+// sharing a divisor with W, static dispatch piles several heavy shards onto
+// one worker while the rest idle. Work stealing re-balances at runtime and
+// should win >= 1.3x. Shard durations are emulated with timed sleeps, which
+// isolates the scheduling policy and makes the A/B machine-independent (a
+// CPU-spin variant would additionally need >= W free cores to show the
+// same gap). The serving path end to end is measured by bench_serve and
+// the e2ebench serve workloads.
 //
-// Part 2, streaming throughput/latency: the full ingest -> window ->
-// anonymize -> emit service over an in-memory CSV feed, reporting
-// windows/s, trajectories/s, and per-window latency for both dispatch
-// policies.
-//
-// Part 3, budget-accountant A/B: wholesale ledger vs per-object ledgers on
-// a feed whose object-ids recycle. With an identical feed, budget, and
-// seed, the wholesale ledger bills every window against one sum and runs
-// dry after budget/(eps_G+eps_L) windows; the per-object accountant caps
-// each object's own cumulative spend, so windows full of objects that
-// have not yet spent their budget keep publishing — strictly more windows
-// under the identical per-object end-to-end guarantee.
-//
-//   FRT_SCALE=full  -> 10,000-trajectory feed (default 2,000).
-//   FRT_SEED=<n>    -> master seed (default 42).
-//   FRT_THREADS=<n> -> worker threads for all parts (default 6).
+//   FRT_SCALE=full  -> longer emulated shards.
+//   FRT_THREADS=<n> -> threads on the shards (default 6).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,13 +26,10 @@
 #include "common/parallel.h"
 #include "common/stopwatch.h"
 #include "runtime/work_stealing_pool.h"
-#include "stream/ingest.h"
-#include "stream/stream_runner.h"
-#include "traj/io.h"
 
 namespace {
 
-// Workers for the part-1 scheduler study. Default 6: a worker count with a
+// Threads for the scheduler study. Default 6: a worker count with a
 // common factor with the heavy-shard period (8) is the realistic bad case
 // for striding, and sleep-emulated shards do not need a core each.
 unsigned StudyThreads() {
@@ -70,38 +52,12 @@ double MedianSeconds(std::vector<double>& runs) {
   return runs[runs.size() / 2];
 }
 
-// Part-3 feed: `arrivals` trajectories whose ids recycle modulo
-// `distinct_ids`, so every object reappears arrivals/distinct_ids times
-// across the stream — the reappearance pattern that separates wholesale
-// from per-object accounting. Ids stay unique within any window of up to
-// `distinct_ids` arrivals.
-std::string RecyclingFeedCsv(int arrivals, int distinct_ids) {
-  std::ostringstream out;
-  out << "# traj_id,x,y,t\n";
-  for (int i = 0; i < arrivals; ++i) {
-    const int id = i % distinct_ids;
-    const int points = 24 + (i * 7) % 13;
-    double x = 200.0 + (i * 137) % 1700;
-    double y = 300.0 + (i * 251) % 1500;
-    int64_t t = 1000 + i;
-    for (int j = 0; j < points; ++j) {
-      out << id << ',' << x << ',' << y << ',' << t << '\n';
-      x += 35.0 + (j * 11) % 20;
-      y += 25.0 + ((i + j) * 13) % 30;
-      t += 60;
-    }
-  }
-  return out.str();
-}
-
 }  // namespace
 
 int main() {
   const bool full = frt::bench::FullScale();
-  const uint64_t seed = frt::bench::MasterSeed();
   const unsigned threads = StudyThreads();
 
-  // ---------------------------------------------------------------- Part 1
   // 64 shard-sized tasks, one heavy shard per group of 8. Durations are
   // fixed, so static assignment (task i -> worker i % W) is reproducible.
   const size_t kTasks = 64;
@@ -113,13 +69,16 @@ int main() {
   }
   const auto task = [&](size_t i) { EmulateShard(duration_ms[i]); };
 
-  std::printf("bench_stream part 1: dispatch A/B, %zu emulated shards "
-              "(heavy %.1f ms every 8th, light %.1f ms), %u workers\n",
+  std::printf("bench_stream: dispatch A/B, %zu emulated shards "
+              "(heavy %.1f ms every 8th, light %.1f ms), %u threads\n",
               kTasks, kHeavyMs, kLightMs, threads);
 
   const int kReps = 5;
   std::vector<double> static_runs, steal_runs;
-  frt::WorkStealingPool pool(threads);
+  // Run's caller works through indices too, so W - 1 workers plus the
+  // caller put the same W threads on the shards as ParallelFor. (A
+  // 1-worker pool runs inline, so below W = 3 the pool keeps W workers.)
+  frt::WorkStealingPool pool(threads > 2 ? threads - 1 : threads);
   for (int rep = 0; rep < kReps; ++rep) {
     frt::Stopwatch w1;
     frt::ParallelFor(kTasks, task, threads);
@@ -136,137 +95,5 @@ int main() {
   std::printf("  work-stealing speedup on skewed shards: %.2fx %s\n\n",
               speedup, speedup >= 1.3 ? "(>= 1.3x target met)"
                                       : "(below 1.3x target)");
-
-  // ---------------------------------------------------------------- Part 2
-  const int num_taxis = full ? 10000 : 2000;
-  const size_t window = full ? 1000 : 250;
-  std::printf("bench_stream part 2: streaming service, |D|=%d, window=%zu, "
-              "shards=16, %u threads\n",
-              num_taxis, window, threads);
-
-  frt::Stopwatch gen_watch;
-  frt::Workload workload = frt::bench::BuildWorkload(num_taxis, 40, seed);
-  std::ostringstream csv;
-  if (auto st = frt::WriteDatasetCsv(workload.dataset, csv); !st.ok()) {
-    std::fprintf(stderr, "serialize: %s\n", st.ToString().c_str());
-    return 1;
-  }
-  std::printf("feed: %zu trajectories, %zu points, %.1f MB CSV (%.1fs)\n",
-              workload.dataset.size(), workload.dataset.TotalPoints(),
-              static_cast<double>(csv.str().size()) / 1e6,
-              gen_watch.ElapsedSeconds());
-
-  std::printf("\n%10s %10s %10s %12s %14s %16s\n", "dispatch", "wall_s",
-              "windows", "windows/s", "trajs/s",
-              "win_lat med/max s");
-  for (const frt::ShardDispatch dispatch :
-       {frt::ShardDispatch::kStatic, frt::ShardDispatch::kWorkStealing}) {
-    std::istringstream in(csv.str());
-    frt::TrajectoryReader reader(in);
-    frt::StreamRunnerConfig config;
-    config.window_size = window;
-    config.batch.shards = 16;
-    config.batch.threads = threads;
-    config.batch.dispatch = dispatch;
-    config.batch.pipeline.m = 5;
-    frt::StreamRunner runner(config);
-    frt::Rng rng(seed);
-    std::vector<double> latencies;
-    auto sink = [&](const frt::Dataset&,
-                    const frt::WindowReport& w) -> frt::Status {
-      latencies.push_back(w.batch.wall_seconds);
-      return frt::Status::OK();
-    };
-    if (auto st = runner.Run(reader, sink, rng); !st.ok()) {
-      std::fprintf(stderr, "stream run failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    const frt::StreamReport& report = runner.report();
-    const double med = latencies.empty() ? 0.0 : MedianSeconds(latencies);
-    const double worst =
-        latencies.empty() ? 0.0
-                          : *std::max_element(latencies.begin(),
-                                              latencies.end());
-    std::printf("%10s %10.2f %10zu %12.2f %14.0f %8.3f/%.3f\n",
-                dispatch == frt::ShardDispatch::kStatic ? "static" : "steal",
-                report.wall_seconds, report.windows_published,
-                report.wall_seconds > 0.0
-                    ? static_cast<double>(report.windows_published) /
-                          report.wall_seconds
-                    : 0.0,
-                report.wall_seconds > 0.0
-                    ? static_cast<double>(report.trajectories_published) /
-                          report.wall_seconds
-                    : 0.0,
-                med, worst);
-  }
-  std::printf("\nwindows publish incrementally under a shared "
-              "work-stealing pool; the cross-window ledger composes "
-              "sequentially (here unbounded, so nothing was refused).\n");
-
-  // ---------------------------------------------------------------- Part 3
-  const int ab_arrivals = full ? 8000 : 2000;
-  const int ab_distinct = full ? 2000 : 500;
-  const size_t ab_window = full ? 1000 : 250;
-  const double ab_budget = 6.0;  // per-window eps is 1.0 (0.5 + 0.5)
-  const size_t ab_total_windows =
-      static_cast<size_t>(ab_arrivals) / ab_window;
-  std::printf("\nbench_stream part 3: accountant A/B, %d arrivals over %d "
-              "distinct object-ids (each reappears %dx), window=%zu, "
-              "budget=%.1f, eps 1.0/window\n",
-              ab_arrivals, ab_distinct, ab_arrivals / ab_distinct, ab_window,
-              ab_budget);
-  const std::string ab_csv = RecyclingFeedCsv(ab_arrivals, ab_distinct);
-
-  // guarantee_eps is each mode's end-to-end bound: the ledger sum under
-  // wholesale, the max per-object cumulative spend under per-object.
-  std::printf("%12s %10s %10s %12s %14s %12s\n", "accounting", "windows",
-              "refused", "trajs_out", "guarantee_eps", "ledger_eps");
-  size_t wholesale_published = 0, per_object_published = 0;
-  for (const frt::BudgetAccounting accounting :
-       {frt::BudgetAccounting::kWholesale,
-        frt::BudgetAccounting::kPerObject}) {
-    std::istringstream in(ab_csv);
-    frt::TrajectoryReader reader(in);
-    frt::StreamRunnerConfig config;
-    config.window_size = ab_window;
-    config.accounting = accounting;
-    if (accounting == frt::BudgetAccounting::kWholesale) {
-      config.total_budget = ab_budget;
-    } else {
-      config.per_object_budget = ab_budget;
-    }
-    config.batch.shards = 4;
-    config.batch.threads = threads;
-    config.batch.pipeline.m = 3;
-    frt::StreamRunner runner(config);
-    frt::Rng rng(seed);
-    auto sink = [](const frt::Dataset&,
-                   const frt::WindowReport&) -> frt::Status {
-      return frt::Status::OK();
-    };
-    if (auto st = runner.Run(reader, sink, rng); !st.ok()) {
-      std::fprintf(stderr, "A/B run failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    const frt::StreamReport& report = runner.report();
-    const bool per_object = accounting == frt::BudgetAccounting::kPerObject;
-    (per_object ? per_object_published : wholesale_published) =
-        report.windows_published;
-    std::printf("%12s %10zu %10zu %12zu %14.2f %12.2f\n",
-                per_object ? "per-object" : "wholesale",
-                report.windows_published, report.windows_refused,
-                report.trajectories_published,
-                per_object ? runner.object_accountant().max_spent()
-                           : report.epsilon_spent,
-                report.epsilon_wholesale_equivalent);
-  }
-  std::printf("\nper-object accounting published %zu of %zu windows vs "
-              "%zu wholesale (%s) — same feed, same budget, same seed, "
-              "same per-object guarantee.\n",
-              per_object_published, ab_total_windows, wholesale_published,
-              per_object_published > wholesale_published
-                  ? "strictly more"
-                  : "NOT more — regression");
   return 0;
 }

@@ -51,7 +51,7 @@
 // Streaming runtime (windowed ingest-to-publish service)
 #include "common/bounded_queue.h"
 #include "stream/ingest.h"
-#include "stream/stream_runner.h"
+#include "stream/stream_config.h"
 
 // Baselines
 #include "baselines/adatrace.h"

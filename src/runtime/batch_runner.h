@@ -39,7 +39,8 @@ enum class ShardDispatch {
   /// shards, so a skewed shard no longer serializes the tail of the batch.
   kWorkStealing,
   /// Static stride assignment (shard i on worker i % threads) via
-  /// ParallelFor. Kept for A/B measurement in bench_stream.
+  /// ParallelFor. The static reference the work-stealing output is
+  /// checked against; the end-to-end benchmark replays jobs with it.
   kStatic,
 };
 
@@ -54,14 +55,14 @@ struct BatchRunnerConfig {
   /// Shard-to-thread assignment policy.
   ShardDispatch dispatch = ShardDispatch::kWorkStealing;
   /// Optional externally owned pool reused across Anonymize calls (the
-  /// streaming runtime shares one pool across all windows). When null and
-  /// dispatch is kWorkStealing, an ephemeral pool is created per call.
-  /// Ignored under kStatic.
+  /// serving layer lends its shared pool to sharded window jobs, which
+  /// may call Anonymize from inside a pool task). When null and dispatch
+  /// is kWorkStealing, an ephemeral pool is created per call. Ignored
+  /// under kStatic.
   WorkStealingPool* pool = nullptr;
   /// Post-publish displacement audit (runtime/window_audit.h). When
   /// enabled, the batch builds one segment index over the window's input
-  /// and fans the pool out over it read-only (or rebuilds per range with
-  /// audit.shared_index = false, the A/B baseline).
+  /// and fans the attached pool (if any) out over it read-only.
   WindowAuditConfig audit;
 };
 

@@ -18,8 +18,6 @@ struct RangePartial {
   uint64_t points = 0;
   double sum = 0.0;
   double max = 0.0;
-  double build_seconds = 0.0;
-  uint64_t dist_evals = 0;
 };
 
 std::vector<SegmentEntry> CollectEntries(const Dataset& original) {
@@ -58,7 +56,6 @@ WindowAuditReport RunWindowAudit(const Dataset& original,
                                  const WindowAuditConfig& config,
                                  WorkStealingPool* pool) {
   WindowAuditReport report;
-  report.shared_index = config.shared_index;
   if (!config.enabled || original.empty() || published.empty()) {
     return report;
   }
@@ -87,57 +84,32 @@ WindowAuditReport RunWindowAudit(const Dataset& original,
     return std::pair<size_t, size_t>(begin, end);
   };
 
-  if (config.shared_index) {
-    // One build, every worker reads it through its own context.
-    Stopwatch build_watch;
-    std::unique_ptr<SegmentIndex> index =
-        MakeSegmentIndex(config.strategy, grid);
-    const Status built = index->Build(Span<const SegmentEntry>(entries));
-    report.build_seconds = build_watch.ElapsedSeconds();
-    if (!built.ok()) return report;
-    report.index_builds = 1;
-    const auto range_task = [&](size_t r) {
-      SearchContext ctx;
-      const auto [begin, end] = range_bounds(r);
-      SweepRange(published, begin, end, *index, &ctx, &partials[r]);
-    };
-    if (pool != nullptr) {
-      pool->Run(ranges, range_task);
-    } else {
-      for (size_t r = 0; r < ranges; ++r) range_task(r);
-    }
-    report.distance_evaluations = index->distance_evaluations();
+  // One build; every range reads it through its own context.
+  Stopwatch build_watch;
+  std::unique_ptr<SegmentIndex> index = MakeSegmentIndex(config.strategy, grid);
+  const Status built = index->Build(Span<const SegmentEntry>(entries));
+  report.build_seconds = build_watch.ElapsedSeconds();
+  if (!built.ok()) return report;
+  report.index_builds = 1;
+  const auto range_task = [&](size_t r) {
+    SearchContext ctx;
+    const auto [begin, end] = range_bounds(r);
+    SweepRange(published, begin, end, *index, &ctx, &partials[r]);
+  };
+  if (pool != nullptr) {
+    pool->Run(ranges, range_task);
   } else {
-    // A/B baseline: every range rebuilds the same index privately.
-    const auto range_task = [&](size_t r) {
-      Stopwatch build_watch;
-      std::unique_ptr<SegmentIndex> index =
-          MakeSegmentIndex(config.strategy, grid);
-      const Status built = index->Build(Span<const SegmentEntry>(entries));
-      partials[r].build_seconds = build_watch.ElapsedSeconds();
-      if (!built.ok()) return;
-      SearchContext ctx;
-      const auto [begin, end] = range_bounds(r);
-      SweepRange(published, begin, end, *index, &ctx, &partials[r]);
-      partials[r].dist_evals = index->distance_evaluations();
-    };
-    if (pool != nullptr) {
-      pool->Run(ranges, range_task);
-    } else {
-      for (size_t r = 0; r < ranges; ++r) range_task(r);
-    }
-    report.index_builds = static_cast<int>(ranges);
+    for (size_t r = 0; r < ranges; ++r) range_task(r);
   }
+  report.distance_evaluations = index->distance_evaluations();
 
   // Fixed-order merge: every aggregate below is independent of worker
-  // scheduling, so shared and private runs report identical displacement.
+  // scheduling.
   report.ran = true;
   for (const RangePartial& p : partials) {
     report.points_audited += p.points;
     report.mean_displacement += p.sum;
     report.max_displacement = std::max(report.max_displacement, p.max);
-    report.build_seconds += p.build_seconds;
-    report.distance_evaluations += p.dist_evals;
   }
   if (report.points_audited > 0) {
     report.mean_displacement /= static_cast<double>(report.points_audited);

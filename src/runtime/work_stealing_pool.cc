@@ -1,5 +1,6 @@
 #include "runtime/work_stealing_pool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 
@@ -25,7 +26,7 @@ WorkStealingPool::WorkStealingPool(unsigned num_threads) {
 WorkStealingPool::~WorkStealingPool() {
   if (threads_.empty()) return;
   {
-    std::lock_guard<std::mutex> lock(run_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
   work_cv_.notify_all();
@@ -38,26 +39,34 @@ void WorkStealingPool::Run(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Deal indices round-robin. No run is in flight, so the deques are idle;
-  // the locks are only taken to pair with the workers' accesses.
-  for (size_t i = 0; i < n; ++i) {
-    WorkerQueue& q = *queues_[i % num_workers_];
-    std::lock_guard<std::mutex> lock(q.mu);
-    q.tasks.push_back(i);
-  }
+  RunState run;
+  run.fn = &fn;
+  run.n = n;
   {
-    std::lock_guard<std::mutex> lock(run_mu_);
-    fn_ = &fn;
-    remaining_.store(n, std::memory_order_release);
-    ++epoch_;
+    // Deal round-robin. queued_ grows under mu_ (see the wake protocol in
+    // the header) and before the pushes, so it never undercounts a task a
+    // worker could already pop.
+    std::lock_guard<std::mutex> lock(mu_);
+    queued_.fetch_add(n, std::memory_order_acq_rel);
+    for (size_t i = 0; i < n; ++i) {
+      WorkerQueue& q = *queues_[i % num_workers_];
+      std::lock_guard<std::mutex> queue_lock(q.mu);
+      q.tasks.push_back(Task{&run, i});
+    }
   }
-  work_cv_.notify_all();
-  std::unique_lock<std::mutex> lock(run_mu_);
-  done_cv_.wait(lock, [this] {
-    return remaining_.load(std::memory_order_acquire) == 0 &&
-           active_workers_ == 0;
+  // The caller takes at least one index itself; wake only as many workers
+  // as could take the rest, so a short Run does not stir every idle worker.
+  const size_t helpers = std::min<size_t>(n - 1, num_workers_);
+  for (size_t i = 0; i < helpers; ++i) work_cv_.notify_one();
+  // Work through our own indices instead of waiting on workers that may
+  // all be busy — possibly inside Runs of their own.
+  Task task;
+  while (TryAcquireOwn(&run, &task)) Execute(task);
+  // Every index is claimed; wait for the ones other threads are running.
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [&run] {
+    return run.done.load(std::memory_order_acquire) == run.n;
   });
-  fn_ = nullptr;
 }
 
 void WorkStealingPool::Submit(std::function<void()> task) {
@@ -68,7 +77,7 @@ void WorkStealingPool::Submit(std::function<void()> task) {
   }
   async_pending_.fetch_add(1, std::memory_order_acq_rel);
   {
-    std::lock_guard<std::mutex> lock(run_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     async_.push_back(std::move(task));
   }
   work_cv_.notify_one();
@@ -76,65 +85,95 @@ void WorkStealingPool::Submit(std::function<void()> task) {
 
 void WorkStealingPool::WaitIdle() {
   if (threads_.empty()) return;
-  std::unique_lock<std::mutex> lock(run_mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this] {
     return async_pending_.load(std::memory_order_acquire) == 0;
   });
 }
 
-bool WorkStealingPool::TryAcquire(unsigned id, size_t* index) {
+void WorkStealingPool::CountSteal() {
+  steals_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::TraceEnabled()) {
+    // Instant marker: a steal has no meaningful duration, only a time.
+    const auto now = std::chrono::steady_clock::now();
+    obs::EmitSpan("steal", obs::SpanCategory::kPool, {}, now, now);
+  }
+}
+
+bool WorkStealingPool::TryAcquire(unsigned id, Task* task) {
   {
     WorkerQueue& own = *queues_[id];
     std::lock_guard<std::mutex> lock(own.mu);
     if (!own.tasks.empty()) {
-      *index = own.tasks.back();  // LIFO keeps the owner's cache warm
+      *task = own.tasks.back();  // LIFO keeps the owner's cache warm
       own.tasks.pop_back();
+      queued_.fetch_sub(1, std::memory_order_acq_rel);
       return true;
     }
   }
   for (unsigned step = 1; step < num_workers_; ++step) {
     WorkerQueue& victim = *queues_[(id + step) % num_workers_];
-    std::lock_guard<std::mutex> lock(victim.mu);
+    std::unique_lock<std::mutex> lock(victim.mu);
     if (!victim.tasks.empty()) {
-      *index = victim.tasks.front();  // FIFO: steal the oldest, coldest task
+      *task = victim.tasks.front();  // FIFO: steal the oldest, coldest task
       victim.tasks.pop_front();
-      steals_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::TraceEnabled()) {
-        // Instant marker: a steal has no meaningful duration, only a time.
-        const auto now = std::chrono::steady_clock::now();
-        obs::EmitSpan("steal", obs::SpanCategory::kPool, {}, now, now);
-      }
+      queued_.fetch_sub(1, std::memory_order_acq_rel);
+      lock.unlock();
+      CountSteal();
       return true;
     }
   }
   return false;
 }
 
+bool WorkStealingPool::TryAcquireOwn(const RunState* run, Task* task) {
+  for (const auto& queue : queues_) {
+    std::unique_lock<std::mutex> lock(queue->mu);
+    for (auto it = queue->tasks.begin(); it != queue->tasks.end(); ++it) {
+      if (it->run != run) continue;
+      *task = *it;
+      queue->tasks.erase(it);
+      queued_.fetch_sub(1, std::memory_order_acq_rel);
+      lock.unlock();
+      CountSteal();
+      return true;
+    }
+  }
+  return false;
+}
+
+void WorkStealingPool::Execute(const Task& task) {
+  RunState* run = task.run;
+  const size_t n = run->n;
+  (*run->fn)(task.index);
+  // The increment that completes the run releases its caller, which then
+  // destroys *run — nothing below may touch it.
+  if (run->done.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    done_cv_.notify_all();
+  }
+}
+
 void WorkStealingPool::WorkerLoop(unsigned id) {
   obs::SetTraceThreadName("pool-worker-" + std::to_string(id));
-  uint64_t seen_epoch = 0;
   for (;;) {
     std::function<void()> async_task;
-    const std::function<void(size_t)>* fn = nullptr;
     const bool tracing = obs::TraceEnabled();
     const auto idle_start = tracing ? std::chrono::steady_clock::now()
                                     : std::chrono::steady_clock::time_point{};
     {
-      std::unique_lock<std::mutex> lock(run_mu_);
+      std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [&] {
-        return shutdown_ || epoch_ != seen_epoch || !async_.empty();
+        return shutdown_ || !async_.empty() ||
+               queued_.load(std::memory_order_acquire) > 0;
       });
       if (!async_.empty()) {
         // Submitted tasks drain first — including during shutdown, so the
         // destructor never strands an accepted job.
         async_task = std::move(async_.front());
         async_.pop_front();
-      } else if (shutdown_) {
-        return;
-      } else {
-        seen_epoch = epoch_;
-        fn = fn_;
-        ++active_workers_;
+      } else if (queued_.load(std::memory_order_acquire) == 0) {
+        return;  // shutdown with nothing left to run
       }
     }
     if (tracing && obs::TraceEnabled()) {
@@ -152,35 +191,14 @@ void WorkStealingPool::WorkerLoop(unsigned id) {
         async_task();
       }
       if (async_pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(run_mu_);
+        std::lock_guard<std::mutex> lock(mu_);
         done_cv_.notify_all();
       }
       continue;
     }
-    // fn_ is cleared (under run_mu_) when its run drains, so a null latch
-    // means this worker slept through the entire run it was woken for; it
-    // must not touch remaining_, which may already belong to the NEXT run.
-    if (fn != nullptr) {
-      while (remaining_.load(std::memory_order_acquire) > 0) {
-        size_t index = 0;
-        if (!TryAcquire(id, &index)) {
-          // Every deque is empty, and tasks are only dealt before the run
-          // starts — nothing will ever become stealable again. Leave the
-          // in-flight owners to drive remaining_ to zero rather than
-          // burning a core spinning on it.
-          break;
-        }
-        (*fn)(index);
-        if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          std::lock_guard<std::mutex> lock(run_mu_);
-          done_cv_.notify_all();
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(run_mu_);
-      if (--active_workers_ == 0) done_cv_.notify_all();
-    }
+    // Help with dealt Run indices until no deque holds any.
+    Task task;
+    while (TryAcquire(id, &task)) Execute(task);
   }
 }
 

@@ -6,14 +6,17 @@
 // one deque per worker instead: indices are dealt round-robin, owners pop
 // their own deque LIFO, and a worker that runs dry steals FIFO from a
 // victim, so load follows the actual task durations rather than the initial
-// deal. Workers are persistent across Run() calls, which lets the streaming
-// runtime reuse one pool for every window instead of re-spawning threads.
+// deal. Workers are persistent across Run() calls, which lets the serving
+// layer reuse one pool for every window instead of re-spawning threads.
 //
 // Beyond the fork-join Run(), the pool accepts fire-and-forget closures
 // via Submit(): the multi-feed serving layer schedules one whole-window
 // anonymization job per task, so many independent feeds multiplex onto one
-// set of workers. Submitted tasks drain ahead of Run() indices and ahead
-// of shutdown, and WaitIdle() is the end-of-service barrier.
+// set of workers. A window job with several shards calls Run() from inside
+// its task; the job's own worker works through its shards while idle
+// workers steal the rest, so one hot feed can use every core. Submitted
+// tasks drain ahead of Run() indices and ahead of shutdown, and WaitIdle()
+// is the end-of-service barrier.
 //
 // Determinism contract: the pool schedules *where* a task runs, never what
 // it computes. Callers that write results to pre-sized per-index slots and
@@ -55,19 +58,21 @@ class WorkStealingPool {
   /// invocations have completed.
   ///
   /// `fn` must be safe to call concurrently for distinct indices and must
-  /// not throw. Runs must not be nested (fn must not call Run on the same
-  /// pool), and only one Run may be in flight at a time.
+  /// not throw. Run may be called from any thread, from several threads at
+  /// once, and from inside a Submit() task or another Run's fn. The caller
+  /// never just waits: it claims and runs indices of its own Run until none
+  /// is left unclaimed, and idle workers steal the rest, so a Run completes
+  /// even when every worker is busy (or blocked in a Run of its own).
   void Run(size_t n, const std::function<void(size_t)>& fn);
 
   /// \brief Enqueues a fire-and-forget task for asynchronous execution on
   /// the workers; returns immediately. The serving layer's unit of
   /// submission: one whole-window anonymization job per task.
   ///
-  /// Tasks run concurrently with each other and with an in-flight Run()
-  /// (workers prefer draining submitted tasks first); they must not throw
-  /// and must not call Run() or Submit() recursively into a 1-worker pool.
-  /// On a 1-worker pool the task runs inline on the caller. Destruction
-  /// drains all submitted tasks before joining the workers.
+  /// Tasks run concurrently with each other and with in-flight Run()s
+  /// (idle workers prefer submitted tasks); they must not throw. On a
+  /// 1-worker pool the task runs inline on the caller. Destruction drains
+  /// all submitted tasks before joining the workers.
   void Submit(std::function<void()> task);
 
   /// Blocks until every Submit()ed task has finished. Callers that need
@@ -83,46 +88,62 @@ class WorkStealingPool {
 
   unsigned num_workers() const { return num_workers_; }
 
-  /// Total tasks obtained by stealing (vs. popped from the owner's deque)
-  /// since construction. Diagnostic only; racy reads are acceptable.
+  /// Total Run indices obtained by stealing — by a worker from another
+  /// worker's deque, or by a Run caller from any deque — since
+  /// construction. Diagnostic only; racy reads are acceptable.
   uint64_t steal_count() const { return steals_; }
 
  private:
+  /// One in-flight Run. Lives on its caller's stack: its tasks sit in the
+  /// deques only until claimed, and the caller returns only after every
+  /// index finished, so no thread can reach it after Run returns.
+  struct RunState {
+    const std::function<void(size_t)>* fn = nullptr;
+    size_t n = 0;
+    std::atomic<size_t> done{0};
+  };
+  struct Task {
+    RunState* run = nullptr;
+    size_t index = 0;
+  };
   // One mutex-guarded deque per worker. Shard tasks are milliseconds-plus,
   // so a tiny critical section per pop is noise; a lock-free Chase-Lev
   // deque would buy nothing here.
   struct WorkerQueue {
     std::mutex mu;
-    std::deque<size_t> tasks;
+    std::deque<Task> tasks;
   };
 
   void WorkerLoop(unsigned id);
-  bool TryAcquire(unsigned id, size_t* index);
+  /// Worker `id`: its own deque LIFO, else steal FIFO from a victim.
+  bool TryAcquire(unsigned id, Task* task);
+  /// A Run caller: the oldest unclaimed task of `run` in any deque.
+  bool TryAcquireOwn(const RunState* run, Task* task);
+  void Execute(const Task& task);
+  void CountSteal();
 
   unsigned num_workers_ = 1;
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
   std::vector<std::thread> threads_;
 
-  // Run lifecycle: the caller publishes (fn_, remaining_, ++epoch_) under
-  // run_mu_, workers wake on work_cv_, and the caller sleeps on done_cv_
-  // until the run has drained AND every worker has left its steal loop —
-  // the second condition keeps a slow waker of run N from picking up run
-  // N+1's tasks with run N's stale fn pointer.
-  std::mutex run_mu_;
+  // Sleep/wake protocol: workers sleep on work_cv_ until a submitted task,
+  // a dealt Run index (queued_ > 0), or shutdown; Run callers sleep on
+  // done_cv_ until their last index finished, WaitIdle until the
+  // submitted tasks drained. queued_ only grows under mu_, so a worker
+  // that checked it under mu_ cannot miss the wakeup.
+  std::mutex mu_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  uint64_t epoch_ = 0;
-  unsigned active_workers_ = 0;
   bool shutdown_ = false;
-  const std::function<void(size_t)>* fn_ = nullptr;
-  std::atomic<size_t> remaining_{0};
+  /// Run indices dealt into the deques and not yet claimed.
+  std::atomic<size_t> queued_{0};
   std::atomic<uint64_t> steals_{0};
 
   // Fire-and-forget tasks (Submit). Window jobs are tens of milliseconds,
-  // so one central deque under run_mu_ is noise next to the task bodies;
+  // so one central deque under mu_ is noise next to the task bodies;
   // per-worker deques would buy nothing at this granularity. Guarded by
-  // run_mu_; async_pending_ counts queued + executing tasks and gates
-  // WaitIdle and shutdown drain.
+  // mu_; async_pending_ counts queued + executing tasks and gates WaitIdle
+  // and shutdown drain.
   std::deque<std::function<void()>> async_;
   std::atomic<size_t> async_pending_{0};
 };

@@ -54,8 +54,8 @@ bool ServiceHadRefusals(const ServiceReport& report) {
 
 ServiceDispatcher::ServiceDispatcher(ServiceConfig config, ServiceSink sink)
     : config_(std::move(config)), sink_(std::move(sink)) {
-  // Normalize the window geometry exactly as StreamRunner does, then the
-  // service-level knobs.
+  // Normalize the window geometry (as WindowAssembler clamps it), then
+  // the service-level knobs.
   if (config_.stream.window_size == 0) config_.stream.window_size = 1;
   if (config_.stream.window_stride == 0 ||
       config_.stream.window_stride > config_.stream.window_size) {
@@ -73,12 +73,6 @@ ServiceDispatcher::ServiceDispatcher(ServiceConfig config, ServiceSink sink)
   }
   if (config_.max_backlog_windows == 0) {
     config_.max_backlog_windows = 4 * config_.max_in_flight;
-  }
-  if (config_.max_latency_samples != (size_t{1} << 14)) {
-    FRT_LOG(Warning)
-        << "ServiceConfig::max_latency_samples is deprecated and ignored: "
-           "latency aggregates use fixed-size histograms now (O(1) memory, "
-           "always on)";
   }
   metrics_interval_ms_.store(std::max<int64_t>(config_.metrics_interval_ms, 1),
                              std::memory_order_relaxed);
@@ -348,41 +342,42 @@ void ServiceDispatcher::QuarantineFeed(const std::string& feed,
   auto [it, inserted] = feeds_.try_emplace(feed);
   FeedSlot& slot = it->second;
   if (inserted) feed_order_.push_back(feed);
-  if (slot.quarantined) return;  // first fault wins
-  slot.quarantined = true;
-  slot.quarantine_reason = std::move(reason);
-  ctr_feeds_quarantined_->Inc();
-  slot.armed_deadline = SteadyClock::time_point::max();
-  live_order_dirty_ = true;
-  FRT_LOG(Warning) << "service: quarantined feed '" << feed
-                   << "': " << slot.quarantine_reason;
-  if (slot.session) {
-    // Tear the session down, keeping what it already did for the final
-    // report. The backlog is dropped (its windows never execute); spend
-    // already charged stays charged, same rule as every discard path. An
-    // in-flight job is self-contained and its completion is ignored.
-    backlog_windows_ -= slot.session->backlog_size();
-    MergeStreamReport(&slot.merged, slot.session->report(),
-                      config_.stream.max_window_reports);
-    slot.carry = slot.session->Carry();
-    slot.session.reset();
-    ledger_dirty_ = true;
-    --active_sessions_;
+  if (!slot.quarantined) {  // first fault wins
+    slot.quarantined = true;
+    slot.quarantine_reason = std::move(reason);
+    ctr_feeds_quarantined_->Inc();
+    slot.armed_deadline = SteadyClock::time_point::max();
+    live_order_dirty_ = true;
+    FRT_LOG(Warning) << "service: quarantined feed '" << feed
+                     << "': " << slot.quarantine_reason;
   }
+  if (!slot.session) return;
+  // Drop everything the fault may have tainted: the backlog never
+  // executes and the uncovered arrivals never close into a window. Spend
+  // already charged stays charged, same rule as every discard path.
+  backlog_windows_ -= slot.session->backlog_size();
+  slot.session->DropPending();
+  // A window already on the pool closed before the fault: it completes
+  // and publishes, and the session is torn down once it lands.
+  if (!slot.session->busy()) TearDownSession(&slot);
 }
 
-void ServiceDispatcher::EvictSession(FeedSlot* slot) {
+void ServiceDispatcher::TearDownSession(FeedSlot* slot) {
   MergeStreamReport(&slot->merged, slot->session->report(),
                     config_.stream.max_window_reports);
   slot->carry = slot->session->Carry();
-  slot->ever_evicted = true;
   slot->session.reset();
   slot->armed_deadline = SteadyClock::time_point::max();
   live_order_dirty_ = true;
   ledger_dirty_ = true;
+  --active_sessions_;
+}
+
+void ServiceDispatcher::EvictSession(FeedSlot* slot) {
+  TearDownSession(slot);
+  slot->ever_evicted = true;
   ++report_.sessions_evicted;
   ctr_sessions_evicted_->Inc();
-  --active_sessions_;
 }
 
 void ServiceDispatcher::SubmitReady() {
@@ -449,9 +444,8 @@ void ServiceDispatcher::SubmitReady() {
     }
     if (config_.stream.stop_when_exhausted && !stopping_ &&
         slot.session->had_refusals()) {
-      // End service at the first refusal (mirrors StreamRunner's
-      // stop_when_exhausted): stop ingesting, drain what already closed,
-      // finish cleanly.
+      // End service at the first refusal: stop ingesting, drain what
+      // already closed, finish cleanly.
       stopping_ = true;
       arrivals_->Close();
     }
@@ -471,12 +465,11 @@ void ServiceDispatcher::SubmitReady() {
     // now, so it cannot drain before this completion lands).
     auto shared_job = std::make_shared<WindowJob>(std::move(*job));
     BatchRunnerConfig batch_config = config_.stream.batch;
-    // Window jobs run single-threaded: the service's parallelism is
-    // across windows of distinct feeds, not within one window. Sharding
-    // still applies (smaller per-shard candidate sets), executed inline.
-    batch_config.pool = nullptr;
-    batch_config.dispatch = ShardDispatch::kStatic;
-    batch_config.threads = 1;
+    // A sharded window fans its shards and its audit out over the shared
+    // pool from inside this job: the job's worker works through them while
+    // idle workers steal the rest, so even one hot feed uses every core.
+    // A single shard runs inline with a serial audit.
+    batch_config.pool = batch_config.shards > 1 ? pool_.get() : nullptr;
     BoundedQueue<std::unique_ptr<Completion>>* completions =
         completions_.get();
     pool_->Submit([shared_job, completions, batch_config] {
@@ -510,12 +503,7 @@ void ServiceDispatcher::AbsorbCompletion(
     std::unique_ptr<Completion> completion) {
   --in_flight_;
   FeedSlot& slot = feeds_.at(completion->job.feed);
-  if (!slot.session) {
-    // The feed was quarantined while this job was in flight; the session
-    // is gone and the result is discarded (spend already merged into the
-    // slot's carry at teardown).
-    return;
-  }
+  // A busy session is never torn down (see QuarantineFeed).
   FeedSession& session = *slot.session;
   if (aborted_) {
     session.Abandon();
@@ -592,7 +580,7 @@ void ServiceDispatcher::FlushPublishes() {
     if (aborted_) break;
     FeedSlot& slot = feeds_.at(pending.feed);
     if (!slot.session) {
-      // Quarantined after the window completed but before this flush: the
+      // Torn down after the window completed but before this flush: the
       // output is discarded (its spend stays charged and checkpointed).
       continue;
     }
@@ -613,7 +601,10 @@ void ServiceDispatcher::FlushPublishes() {
     ctr_windows_published_->Inc();
     ctr_trajectories_published_->Inc(pending.report.trajectories);
     slot.session->RecordPublished(pending.report);
-    if (slot.session->evict_when_drained() && slot.session->Drained()) {
+    if (slot.quarantined) {
+      TearDownSession(&slot);  // its last in-flight window is out
+    } else if (slot.session->evict_when_drained() &&
+               slot.session->Drained()) {
       EvictSession(&slot);
     }
   }
@@ -973,8 +964,7 @@ void ServiceDispatcher::DispatcherLoop() {
 
   // Ingress finished: flush every session's trailing partial window, then
   // drain the backlog and the in-flight jobs to zero. A stop_when_exhausted
-  // trip skips the flush — the run ends at the refusal, like the
-  // single-feed runner.
+  // trip skips the flush — the run ends at the refusal.
   if (!aborted_ && !stopping_) {
     const SteadyClock::time_point now = SteadyClock::now();
     for (const auto& name : feed_order_) {

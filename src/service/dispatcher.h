@@ -22,8 +22,12 @@
 // accountants, reports), so budget accounting needs no locks; the only
 // work it delegates is the pure (window, rng) -> published-dataset batch
 // job, which runs on the shared pool with per-window state it owns
-// outright. Workers hand results back through the completion queue, whose
-// capacity equals the in-flight cap, so a worker never blocks on it.
+// outright. A job with several shards fans them (and its displacement
+// audit) out over the same pool from inside its task — its worker runs
+// shards while idle workers steal the rest — so one hot feed can use every
+// core; a single-shard job runs inline. Workers hand results back through
+// the completion queue, whose capacity equals the in-flight cap, so a
+// worker never blocks on it.
 //
 // Ordering and determinism. Windows of ONE feed execute strictly one at a
 // time, in close order: admission always sees the predecessor's recorded
@@ -33,7 +37,9 @@
 // up to max_in_flight window jobs from distinct feeds — is where the pool
 // earns its keep. Consequence: a feed's published windows are
 // bit-identical between a solo run and any multiplexed run at the same
-// seed, which is also what makes per-feed budget isolation testable.
+// seed, which is also what makes per-feed budget isolation testable. The
+// single-feed CLI (frt_stream) is this service with one feed named
+// "stream" (service/feed_ingest.h).
 //
 // Window closure. Count (the buffer reached window_size), wall-clock
 // deadline (--close-after-ms: a non-empty window is published no later
@@ -68,7 +74,7 @@
 #include "service/checkpoint.h"
 #include "service/feed_session.h"
 #include "service/metrics_exporter.h"
-#include "stream/stream_runner.h"
+#include "stream/stream_config.h"
 #include "traj/dataset.h"
 
 namespace frt {
@@ -77,10 +83,11 @@ namespace frt {
 struct ServiceConfig {
   /// Per-feed streaming behavior: window geometry, budgets/accounting,
   /// close_after_ms, batch pipeline. Every session applies this config to
-  /// its own feed; `stream.batch.pool`, threads and dispatch are managed
-  /// by the service (window jobs run single-threaded on the shared pool —
-  /// parallelism is across windows, not within one).
-  StreamRunnerConfig stream;
+  /// its own feed. `stream.batch.pool` is managed by the service: a window
+  /// with shards > 1 runs its shards and audit on the shared pool (the
+  /// window job's worker plus whichever workers are idle); shards == 1
+  /// runs inline with a serial audit.
+  StreamConfig stream;
   /// Shared pool workers. 0 picks max(2, hardware concurrency): even on
   /// one core the service needs a worker besides the dispatcher so feeds
   /// overlap.
@@ -99,11 +106,6 @@ struct ServiceConfig {
   /// Sessions with no arrival for this long are flushed and evicted
   /// (budget state carries into any successor). 0 disables eviction.
   int64_t idle_evict_ms = 0;
-  /// DEPRECATED no-op. Latency aggregates moved from sorted sample rings
-  /// to fixed-size obs::Histogram instances (O(1) memory, always on), so
-  /// this cap no longer bounds anything. Setting it away from the default
-  /// logs one warning; the key is kept so existing configs keep parsing.
-  size_t max_latency_samples = 1 << 14;
   /// Durable budget ledgers: when non-empty, per-feed ledger snapshots are
   /// checkpointed into this directory and recovered from it on Start()
   /// through the conservative PreloadSpent/PreloadFloor carry path. The
@@ -285,6 +287,15 @@ class ServiceDispatcher {
   /// Aggregated diagnostics; valid after Finish().
   const ServiceReport& report() const { return report_; }
 
+  /// \brief The feed's session as Finish() left it; its accountants hold
+  /// the feed's final ledgers. nullptr for a feed never seen, or whose
+  /// session was evicted or quarantined. Valid only after Finish().
+  const FeedSession* FinishedSession(const std::string& feed) const {
+    const auto it = feeds_.find(feed);
+    return finished_ && it != feeds_.end() ? it->second.session.get()
+                                           : nullptr;
+  }
+
   const ServiceConfig& config() const { return config_; }
 
   /// \brief Latest introspection view (nullptr before Start()). Safe from
@@ -392,9 +403,11 @@ class ServiceDispatcher {
   bool CloseSessionWindow(const std::string& feed, FeedSlot& slot,
                           WindowClose reason,
                           std::chrono::steady_clock::time_point now);
-  /// Declares `feed` untrustworthy: merges and tears down its session,
-  /// drops its backlog, marks the slot so arrivals and revivals are
-  /// refused. Idempotent. Never touches sibling feeds.
+  /// Declares `feed` untrustworthy: drops its backlog and uncovered
+  /// arrivals, marks the slot so arrivals and revivals are refused, and
+  /// tears its session down — at once, or when its in-flight window (which
+  /// closed before the fault) has published. Idempotent. Never touches
+  /// sibling feeds.
   void QuarantineFeed(const std::string& feed, std::string reason);
   /// Submits admissible backlog windows while in-flight capacity lasts.
   void SubmitReady();
@@ -417,7 +430,10 @@ class ServiceDispatcher {
   void PublishMetricsNow(std::chrono::steady_clock::time_point now);
   /// Records a fatal error once and stops admitting new work.
   void Abort(Status status);
-  /// Merges `session`'s report into its slot and tears the session down.
+  /// Merges the slot's session report and budget carry into the slot and
+  /// tears the session down.
+  void TearDownSession(FeedSlot* slot);
+  /// Idle eviction: TearDownSession plus the eviction bookkeeping.
   void EvictSession(FeedSlot* slot);
   void BuildFinalReport();
 

@@ -216,10 +216,10 @@ TEST(BatchRunnerTest, ReportsShardObjectIdsMatchingThePlan) {
   EXPECT_EQ(total, input.size());
 }
 
-TEST(WindowAuditTest, SharedAndPrivateModesReportIdenticalDisplacement) {
-  // The audit's shared-index mode (one build, concurrent readers) and
-  // private mode (one build per range) must agree bit for bit on every
-  // displacement aggregate; only the build accounting may differ.
+TEST(WindowAuditTest, PoolAndSerialRunsReportIdenticalDisplacement) {
+  // The audit's ranges fanned out over a pool (one shared index,
+  // concurrent readers) and the same ranges run serially must agree bit
+  // for bit on every displacement aggregate.
   const Dataset input = SmallFleet(20, 29);
   FrequencyRandomizer pipeline(SmallPipeline());
   Rng rng(7);
@@ -231,28 +231,20 @@ TEST(WindowAuditTest, SharedAndPrivateModesReportIdenticalDisplacement) {
   config.ranges = 4;
 
   WorkStealingPool pool(4);
-  config.shared_index = true;
-  const WindowAuditReport shared =
+  const WindowAuditReport pooled =
       RunWindowAudit(input, *published, config, &pool);
-  config.shared_index = false;
-  const WindowAuditReport priv =
-      RunWindowAudit(input, *published, config, &pool);
-  // Serial execution (no pool) of the same ranges must also agree.
-  config.shared_index = true;
   const WindowAuditReport serial =
       RunWindowAudit(input, *published, config, nullptr);
 
-  ASSERT_TRUE(shared.ran);
-  ASSERT_TRUE(priv.ran);
-  EXPECT_EQ(shared.index_builds, 1);
-  EXPECT_EQ(priv.index_builds, 4);
-  EXPECT_GT(shared.points_audited, 0u);
-  for (const WindowAuditReport* other : {&priv, &serial}) {
-    EXPECT_EQ(shared.points_audited, other->points_audited);
-    EXPECT_EQ(shared.mean_displacement, other->mean_displacement);
-    EXPECT_EQ(shared.max_displacement, other->max_displacement);
-    EXPECT_EQ(shared.distance_evaluations, other->distance_evaluations);
-  }
+  ASSERT_TRUE(pooled.ran);
+  ASSERT_TRUE(serial.ran);
+  EXPECT_EQ(pooled.index_builds, 1);
+  EXPECT_EQ(serial.index_builds, 1);
+  EXPECT_GT(pooled.points_audited, 0u);
+  EXPECT_EQ(pooled.points_audited, serial.points_audited);
+  EXPECT_EQ(pooled.mean_displacement, serial.mean_displacement);
+  EXPECT_EQ(pooled.max_displacement, serial.max_displacement);
+  EXPECT_EQ(pooled.distance_evaluations, serial.distance_evaluations);
 }
 
 TEST(WindowAuditTest, DisabledOrEmptyAuditDoesNotRun) {

@@ -77,29 +77,17 @@ TEST(CliFlagsTest, PipelineFlagsErrorInsteadOfSilentZero) {
   EXPECT_EQ(args.epsilon_global, 0.75);
 }
 
-TEST(CliFlagsTest, SharedIndexFlagPairTogglesAndPropagates) {
+TEST(CliFlagsTest, StreamConfigEnablesTheWindowAudit) {
+  // Every serving tool audits each window with the pipeline's index.
   PipelineArgs args;
-  EXPECT_TRUE(args.shared_index);  // shared is the default
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--no-shared-index", "", &args),
-            FlagParse::kConsumed);
-  EXPECT_FALSE(args.shared_index);
-  EXPECT_EQ(ParseOne(ParsePipelineFlag, "--shared-index", "", &args),
-            FlagParse::kConsumed);
-  EXPECT_TRUE(args.shared_index);
-
-  // The choice reaches the streaming batch config's window audit.
   FrequencyRandomizerConfig pipeline;
   ASSERT_TRUE(MakePipelineConfig(args, &pipeline));
   StreamArgs stream;
-  StreamRunnerConfig stream_config;
-  args.shared_index = false;
+  StreamConfig stream_config;
   ASSERT_TRUE(MakeStreamConfig(stream, args, pipeline, &stream_config));
   EXPECT_TRUE(stream_config.batch.audit.enabled);
-  EXPECT_FALSE(stream_config.batch.audit.shared_index);
+  EXPECT_EQ(stream_config.batch.audit.strategy, pipeline.strategy);
   EXPECT_EQ(stream_config.batch.audit.index_levels, pipeline.index_levels);
-  args.shared_index = true;
-  ASSERT_TRUE(MakeStreamConfig(stream, args, pipeline, &stream_config));
-  EXPECT_TRUE(stream_config.batch.audit.shared_index);
 }
 
 TEST(CliFlagsTest, StreamFlagsErrorInsteadOfSilentZero) {
@@ -201,6 +189,34 @@ TEST(CliFlagsTest, MissingValueIsAnError) {
   char* argv[] = {f.data()};
   int i = 0;
   EXPECT_EQ(ParseStreamFlag(1, argv, &i, &args), FlagParse::kError);
+}
+
+TEST(CliFlagsTest, RemovedFlagsAreRejected) {
+  // --dispatch and the --shared-index/--no-shared-index pair are gone: no
+  // shared parser claims them, so every tool reports an unknown flag.
+  PipelineArgs pipeline;
+  StreamArgs stream;
+  DurabilityArgs durability;
+  ObservabilityArgs obs;
+  TransportArgs transport;
+  for (const char* removed :
+       {"--dispatch", "--shared-index", "--no-shared-index"}) {
+    EXPECT_EQ(ParseOne(ParsePipelineFlag, removed, "static", &pipeline),
+              FlagParse::kNotMine)
+        << removed;
+    EXPECT_EQ(ParseOne(ParseStreamFlag, removed, "static", &stream),
+              FlagParse::kNotMine)
+        << removed;
+    EXPECT_EQ(ParseOne(ParseDurabilityFlag, removed, "static", &durability),
+              FlagParse::kNotMine)
+        << removed;
+    EXPECT_EQ(ParseOne(ParseObservabilityFlag, removed, "static", &obs),
+              FlagParse::kNotMine)
+        << removed;
+    EXPECT_EQ(ParseOne(ParseTransportFlag, removed, "static", &transport),
+              FlagParse::kNotMine)
+        << removed;
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "service/feed_ingest.h"
 #include "stream/ingest.h"
 #include "testing_util.h"
 
@@ -111,11 +112,15 @@ TEST(ServiceTest, MultiplexedFeedsPublishEveryWindowPerFeedInOrder) {
 }
 
 TEST(ServiceTest, DeterministicAcrossPoolSizes) {
+  // Sharded window jobs fan their shards and audit out over the shared
+  // pool; output must not depend on how many workers pick them up.
   const std::vector<Trajectory> trajs = SyntheticTrajectories(40);
-  auto run = [&](unsigned pool_threads) {
+  auto run = [&](unsigned pool_threads, int shards) {
     auto capture = std::make_unique<ServiceCapture>();
     ServiceConfig config = SmallServiceConfig(10);
     config.pool_threads = pool_threads;
+    config.stream.batch.shards = shards;
+    config.stream.batch.audit.enabled = true;
     ServiceDispatcher service(config, capture->MakeSink());
     EXPECT_TRUE(service.Start(kSeed).ok());
     for (const Trajectory& t : trajs) {
@@ -126,13 +131,24 @@ TEST(ServiceTest, DeterministicAcrossPoolSizes) {
     EXPECT_TRUE(service.Finish().ok());
     return capture;
   };
-  const auto base = run(1);
-  for (const unsigned pool : {2u, 4u}) {
-    const auto other = run(pool);
-    for (const char* feed : {"f1", "f2", "f3"}) {
-      EXPECT_TRUE(ServiceCapture::FeedsEqual(base->feeds.at(feed),
-                                             other->feeds.at(feed)))
-          << "feed " << feed << " differs at pool=" << pool;
+  for (const int shards : {2, 4}) {
+    const auto base = run(1, shards);
+    for (const unsigned pool : {2u, 4u}) {
+      const auto other = run(pool, shards);
+      for (const char* feed : {"f1", "f2", "f3"}) {
+        EXPECT_TRUE(ServiceCapture::FeedsEqual(base->feeds.at(feed),
+                                               other->feeds.at(feed)))
+            << "feed " << feed << " differs at pool=" << pool
+            << ", shards=" << shards;
+        const auto& base_reports = base->feeds.at(feed).reports;
+        const auto& other_reports = other->feeds.at(feed).reports;
+        ASSERT_EQ(base_reports.size(), other_reports.size());
+        for (size_t w = 0; w < base_reports.size(); ++w) {
+          EXPECT_EQ(base_reports[w].batch.shards_run, shards);
+          EXPECT_EQ(base_reports[w].batch.audit.mean_displacement,
+                    other_reports[w].batch.audit.mean_displacement);
+        }
+      }
     }
   }
 }
@@ -468,6 +484,46 @@ TEST(ServiceTest, QuarantineOfUnknownFeedStillCountsInReport) {
   EXPECT_TRUE(report.feeds_report[0].quarantined);
 }
 
+TEST(ServiceTest, MultiFeedParseErrorQuarantinesEveryFeedOfTheInput) {
+  // Two feeds of 12 trajectories in one multi-feed CSV, then a malformed
+  // line. With window 5 each feed closes two count windows; the two
+  // uncovered arrivals per feed read before the bad line must never
+  // publish as a trailing partial window.
+  std::istringstream single(SyntheticCsv(12));
+  std::string csv;
+  std::string line;
+  std::vector<std::string> records;
+  while (std::getline(single, line)) {
+    if (!line.empty() && line[0] != '#') records.push_back(line);
+  }
+  for (const char* feed : {"a", "b"}) {
+    for (const std::string& record : records) {
+      csv += std::string(feed) + "," + record + "\n";
+    }
+  }
+  csv += "a,oops,not,a,row\n";
+  std::istringstream in(csv);
+  ServiceCapture capture;
+  ServiceDispatcher service(SmallServiceConfig(5), capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  const Status ingest = IngestMultiFeedCsv(in, service);
+  EXPECT_TRUE(ingest.IsInvalidArgument()) << ingest.ToString();
+  ASSERT_TRUE(service.Finish().ok());
+
+  const ServiceReport& report = service.report();
+  EXPECT_EQ(report.feeds_quarantined, 2u);
+  for (const FeedReport& feed : report.feeds_report) {
+    EXPECT_TRUE(feed.quarantined) << feed.feed;
+    EXPECT_LE(feed.stream.windows_published, 2u) << feed.feed;
+  }
+  for (const auto& [name, feed] : capture.feeds) {
+    for (const WindowReport& w : feed.reports) {
+      EXPECT_EQ(w.close_reason, WindowClose::kCount) << name;
+      EXPECT_EQ(w.trajectories, 5u) << name;
+    }
+  }
+}
+
 TEST(ServiceTest, SinkErrorAbortsService) {
   const std::vector<Trajectory> trajs = SyntheticTrajectories(30);
   ServiceConfig config = SmallServiceConfig(5);
@@ -500,27 +556,29 @@ TEST(ServiceTest, FinishWithoutArrivalsIsCleanAndEmpty) {
   EXPECT_EQ(service.report().windows_published, 0u);
 }
 
-// ---- StreamRunner time-based closure (the single-feed --close-after-ms
-// path shares CloseTimerDelay and the WindowAssembler with the service).
+// ---- Single-feed time-based closure (frt_stream --close-after-ms runs
+// the service with one feed; CloseTimerDelay and the WindowAssembler are
+// shared with every multi-feed session).
 
 TEST(StreamDeadlineTest, DeadlineClosesPartialWindowOnTrickleFeed) {
   frt::testing::BlockingFeed feed;
-  TrajectoryReader reader(feed.stream());
-  StreamRunnerConfig config;
+  StreamConfig config;
   config.window_size = 100;
   config.close_after_ms = 60;
   config.batch.pipeline.m = 3;
-  StreamRunner runner(config);
   frt::testing::SinkCapture capture;
   std::atomic<size_t> published{0};
-  WindowSink sink = [&](const Dataset& d, const WindowReport& w) -> Status {
-    Status st = capture.MakeSink()(d, w);
+  ServiceSink sink = [&](const std::string& name, const Dataset& d,
+                         const WindowReport& w) -> Status {
+    Status st = capture.MakeSink()(name, d, w);
     published.fetch_add(1);
     return st;
   };
-  Rng rng(kSeed);
+  frt::testing::SingleFeedRun run;
   std::thread run_thread([&] {
-    EXPECT_TRUE(runner.Run(reader, sink, rng).ok());
+    run = frt::testing::RunSingleFeedService(config, feed.stream(), kSeed,
+                                             sink);
+    EXPECT_TRUE(run.status.ok()) << run.status.ToString();
   });
   // Two complete trajectories (the second id's first line completes the
   // first), then silence: only the deadline can publish them.
@@ -534,7 +592,7 @@ TEST(StreamDeadlineTest, DeadlineClosesPartialWindowOnTrickleFeed) {
   feed.End();
   run_thread.join();
 
-  const StreamReport& report = runner.report();
+  const StreamReport& report = run.report;
   EXPECT_EQ(report.trajectories_in, 3u);
   EXPECT_EQ(report.trajectories_published, 3u);
   EXPECT_GE(report.windows_deadline_closed, 1u);
@@ -544,21 +602,19 @@ TEST(StreamDeadlineTest, DeadlineClosesPartialWindowOnTrickleFeed) {
 }
 
 TEST(StreamDeadlineTest, CountClosureStillWinsWhenFeedIsFast) {
-  // A fast finite feed with a generous deadline behaves exactly like the
-  // untimed runner: every window closes by count (plus the final tail).
+  // A fast finite feed with a generous deadline behaves exactly like an
+  // untimed feed: every window closes by count (plus the final tail).
   const std::string csv = SyntheticCsv(250);
   std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunnerConfig config;
+  StreamConfig config;
   config.window_size = 100;
   config.close_after_ms = 60000;
   config.batch.pipeline.m = 3;
-  StreamRunner runner(config);
   frt::testing::SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
-  const StreamReport& report = runner.report();
+  const frt::testing::SingleFeedRun run = frt::testing::RunSingleFeedService(
+      config, in, kSeed, capture.MakeSink());
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  const StreamReport& report = run.report;
   EXPECT_EQ(report.windows_published, 3u);
   EXPECT_EQ(report.windows_deadline_closed, 0u);
   EXPECT_EQ(report.windows[0].close_reason, WindowClose::kCount);

@@ -1,12 +1,10 @@
-// Fixed-seed end-to-end coverage of the sliding-window streaming refactor:
-// stride < window overlap semantics, per-object budget accounting with and
-// without eviction of exhausted objects, the wholesale-vs-per-object A/B
-// (identical feed, budget, and seed — per-object publishes strictly more
-// windows while no object ever exceeds the budget, checked against a
-// brute-force per-object tally), and the refusal condition frt_stream maps
-// to exit code 3.
-
-#include "stream/stream_runner.h"
+// Fixed-seed end-to-end coverage of sliding windows on the single-feed
+// service (frt_stream's engine): stride < window overlap semantics,
+// per-object budget accounting with and without eviction of exhausted
+// objects, the wholesale-vs-per-object A/B (identical feed, budget, and
+// seed — per-object publishes strictly more windows while no object ever
+// exceeds the budget, checked against a brute-force per-object tally),
+// and the refusal condition frt_stream maps to exit code 3.
 
 #include <gtest/gtest.h>
 
@@ -16,19 +14,21 @@
 #include <unordered_map>
 #include <vector>
 
-#include "stream/ingest.h"
+#include "service/feed_ingest.h"
 #include "testing_util.h"
 
 namespace frt {
 namespace {
 
+using frt::testing::RunSingleFeedService;
+using frt::testing::SingleFeedRun;
 using frt::testing::SinkCapture;
 using frt::testing::SyntheticCsv;
 
 constexpr uint64_t kSeed = 20260731;
 
-StreamRunnerConfig BaseConfig(size_t window, size_t stride) {
-  StreamRunnerConfig config;
+StreamConfig BaseConfig(size_t window, size_t stride) {
+  StreamConfig config;
   config.window_size = window;
   config.window_stride = stride;
   config.batch.shards = 4;
@@ -69,14 +69,12 @@ TEST(SlidingWindowTest, StrideSmallerThanWindowOverlaps) {
   // window picks up the uncovered tail [25,33).
   const std::string csv = SyntheticCsv(33);
   std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunner runner(BaseConfig(10, 5));
   SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
+  const SingleFeedRun run =
+      RunSingleFeedService(BaseConfig(10, 5), in, kSeed, capture.MakeSink());
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
 
-  const StreamReport& report = runner.report();
+  const StreamReport& report = run.report;
   EXPECT_EQ(report.trajectories_in, 33u);
   EXPECT_EQ(report.windows_closed, 6u);
   EXPECT_EQ(report.windows_published, 6u);
@@ -102,12 +100,10 @@ TEST(SlidingWindowTest, StrideEqualToWindowMatchesTumblingDefault) {
   const std::string csv = SyntheticCsv(40);
   auto run = [&](size_t stride) {
     std::istringstream in(csv);
-    TrajectoryReader reader(in);
-    StreamRunner runner(BaseConfig(10, stride));
     SinkCapture capture;
-    Rng rng(kSeed);
-    auto sink = capture.MakeSink();
-    EXPECT_TRUE(runner.Run(reader, sink, rng).ok());
+    const SingleFeedRun run = RunSingleFeedService(
+        BaseConfig(10, stride), in, kSeed, capture.MakeSink());
+    EXPECT_TRUE(run.status.ok()) << run.status.ToString();
     return capture;
   };
   const SinkCapture explicit_stride = run(10);
@@ -123,14 +119,11 @@ TEST(SlidingWindowTest, DuplicateIdInsideOverlappingWindowIsRejected) {
   // like the tumbling assembler always has.
   const std::string csv = SyntheticCsv(30, 15);
   std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunner runner(BaseConfig(20, 5));
   SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  Status st = runner.Run(reader, sink, rng);
-  EXPECT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  const SingleFeedRun run =
+      RunSingleFeedService(BaseConfig(20, 5), in, kSeed, capture.MakeSink());
+  EXPECT_FALSE(run.status.ok());
+  EXPECT_TRUE(run.status.IsInvalidArgument()) << run.status.ToString();
 }
 
 TEST(SlidingWindowTest, PerObjectPublishesStrictlyMoreWindowsThanWholesale) {
@@ -147,20 +140,19 @@ TEST(SlidingWindowTest, PerObjectPublishesStrictlyMoreWindowsThanWholesale) {
   auto run = [&](BudgetAccounting accounting, SinkCapture* capture,
                  StreamReport* report, double* max_object_eps) {
     std::istringstream in(csv);
-    TrajectoryReader reader(in);
-    StreamRunnerConfig config = BaseConfig(100, 0);
+    StreamConfig config = BaseConfig(100, 0);
     config.accounting = accounting;
     if (accounting == BudgetAccounting::kWholesale) {
       config.total_budget = kBudget;
     } else {
       config.per_object_budget = kBudget;
     }
-    StreamRunner runner(config);
-    Rng rng(kSeed);
-    auto sink = capture->MakeSink();
-    ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
-    *report = runner.report();
-    *max_object_eps = runner.object_accountant().max_spent();
+    const SingleFeedRun run =
+        RunSingleFeedService(config, in, kSeed, capture->MakeSink());
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    ASSERT_NE(run.session, nullptr);
+    *report = run.report;
+    *max_object_eps = run.session->object_accountant().max_spent();
   };
 
   SinkCapture wholesale_capture, per_object_capture;
@@ -213,18 +205,18 @@ TEST(SlidingWindowTest, EvictExhaustedDropsOnlyTheExhaustedObject) {
   auto run = [&](bool evict, SinkCapture* capture, StreamReport* report,
                  const char* label) {
     std::istringstream in(csv);
-    TrajectoryReader reader(in);
-    StreamRunnerConfig config = BaseConfig(10, 0);
+    StreamConfig config = BaseConfig(10, 0);
     config.accounting = BudgetAccounting::kPerObject;
     config.per_object_budget = kBudget;
     config.evict_exhausted = evict;
-    StreamRunner runner(config);
-    Rng rng(kSeed);
-    auto sink = capture->MakeSink();
-    ASSERT_TRUE(runner.Run(reader, sink, rng).ok()) << label;
-    *report = runner.report();
+    const SingleFeedRun run =
+        RunSingleFeedService(config, in, kSeed, capture->MakeSink());
+    ASSERT_TRUE(run.status.ok()) << label << ": " << run.status.ToString();
+    ASSERT_NE(run.session, nullptr) << label;
+    *report = run.report;
     // Whatever the mode, object 0 never exceeds its budget.
-    EXPECT_LE(runner.object_accountant().spent(0), kBudget + 1e-9) << label;
+    EXPECT_LE(run.session->object_accountant().spent(0), kBudget + 1e-9)
+        << label;
   };
 
   SinkCapture refusing_capture, evicting_capture;
@@ -267,26 +259,25 @@ TEST(SlidingWindowTest, SlidingWindowsChargePerAppearance) {
   // objects 5..9 appear twice.
   const std::string csv = SyntheticCsv(20);
   std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunnerConfig config = BaseConfig(10, 5);
+  StreamConfig config = BaseConfig(10, 5);
   config.accounting = BudgetAccounting::kPerObject;
   config.per_object_budget = 10.0;  // ample: nothing refused
-  StreamRunner runner(config);
   SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
+  const SingleFeedRun run =
+      RunSingleFeedService(config, in, kSeed, capture.MakeSink());
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  ASSERT_NE(run.session, nullptr);
 
   std::unordered_map<TrajId, double> tally;
   for (const auto& window : capture.window_ids) {
     for (const TrajId id : window) tally[id] += 1.0;
   }
   for (const auto& [id, spent] : tally) {
-    EXPECT_NEAR(runner.object_accountant().spent(id), spent, 1e-9)
+    EXPECT_NEAR(run.session->object_accountant().spent(id), spent, 1e-9)
         << "object " << id;
   }
-  EXPECT_NEAR(runner.object_accountant().max_spent(), 2.0, 1e-9);
-  EXPECT_EQ(runner.report().windows_refused, 0u);
+  EXPECT_NEAR(run.session->object_accountant().max_spent(), 2.0, 1e-9);
+  EXPECT_EQ(run.report.windows_refused, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,10 @@
-// Fixed-seed end-to-end regression of the streaming subsystem: a 10k-
-// trajectory synthetic feed through frt's windowed anonymization service.
-// Locks the acceptance behavior: the concatenation of published windows
-// preserves the input trajectory count and order, the cross-window ledger
-// composes sequentially and refuses windows once --budget is exhausted,
-// and the whole run is deterministic across thread counts and repeats.
-
-#include "stream/stream_runner.h"
+// Fixed-seed end-to-end regression of the single-feed service (frt_stream's
+// engine: one feed through the ServiceDispatcher) over a 10k-trajectory
+// synthetic feed. Locks the acceptance behavior: the concatenation of
+// published windows preserves the input trajectory count and order, the
+// cross-window ledger composes sequentially and refuses windows once
+// --budget is exhausted, and the whole run is deterministic across pool
+// sizes and repeats.
 
 #include <gtest/gtest.h>
 
@@ -13,19 +12,21 @@
 #include <string>
 #include <vector>
 
-#include "stream/ingest.h"
+#include "service/feed_ingest.h"
 #include "testing_util.h"
 
 namespace frt {
 namespace {
 
+using frt::testing::RunSingleFeedService;
+using frt::testing::SingleFeedRun;
 using frt::testing::SinkCapture;
 using frt::testing::SyntheticCsv;
 
 constexpr uint64_t kSeed = 20260730;
 
-StreamRunnerConfig SmallConfig(size_t window, double budget) {
-  StreamRunnerConfig config;
+StreamConfig SmallConfig(size_t window, double budget) {
+  StreamConfig config;
   config.window_size = window;
   config.total_budget = budget;
   config.batch.shards = 4;
@@ -39,15 +40,13 @@ TEST(StreamE2ETest, TenThousandTrajectoriesWindowed) {
   const int kTrajectories = 10000;
   const std::string csv = SyntheticCsv(kTrajectories);
   std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunner runner(SmallConfig(1000, 0.0));
   SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
+  const SingleFeedRun run = RunSingleFeedService(SmallConfig(1000, 0.0), in,
+                                                 kSeed, capture.MakeSink());
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
 
   // Concatenated output matches the input trajectory count, in order.
-  const StreamReport& report = runner.report();
+  const StreamReport& report = run.report;
   EXPECT_EQ(report.trajectories_in, static_cast<size_t>(kTrajectories));
   EXPECT_EQ(report.trajectories_published, static_cast<size_t>(kTrajectories));
   EXPECT_EQ(report.windows_published, 10u);
@@ -66,7 +65,8 @@ TEST(StreamE2ETest, TenThousandTrajectoriesWindowed) {
 
   // The ledger sums eps_G + eps_L per window, sequentially.
   EXPECT_NEAR(report.epsilon_spent, 10.0, 1e-9);
-  EXPECT_EQ(runner.accountant().ledger().size(), 10u);
+  ASSERT_NE(run.session, nullptr);
+  EXPECT_EQ(run.session->accountant().ledger().size(), 10u);
   ASSERT_EQ(report.windows.size(), 10u);
   for (const auto& w : report.windows) {
     EXPECT_NEAR(w.epsilon_spent, 1.0, 1e-9);
@@ -80,21 +80,20 @@ TEST(StreamE2ETest, BudgetExhaustionRefusesLaterWindows) {
   // publish, windows 2..4 are refused and never reach the sink.
   const std::string csv = SyntheticCsv(500);
   std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunner runner(SmallConfig(100, 2.5));
   SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
+  const SingleFeedRun run = RunSingleFeedService(SmallConfig(100, 2.5), in,
+                                                 kSeed, capture.MakeSink());
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
 
-  const StreamReport& report = runner.report();
+  const StreamReport& report = run.report;
   EXPECT_EQ(report.windows_closed, 5u);
   EXPECT_EQ(report.windows_published, 2u);
   EXPECT_EQ(report.windows_refused, 3u);
   EXPECT_EQ(report.trajectories_published, 200u);
   EXPECT_EQ(report.trajectories_refused, 300u);
   EXPECT_NEAR(report.epsilon_spent, 2.0, 1e-9);
-  EXPECT_NEAR(runner.accountant().remaining(), 0.5, 1e-9);
+  ASSERT_NE(run.session, nullptr);
+  EXPECT_NEAR(run.session->accountant().remaining(), 0.5, 1e-9);
   // Only the first two windows' trajectories were published.
   ASSERT_EQ(capture.ids.size(), 200u);
   EXPECT_EQ(capture.ids.front(), 0);
@@ -109,15 +108,13 @@ TEST(StreamE2ETest, StopWhenExhaustedEndsRunAtFirstRefusal) {
   // never-ending feed needs.
   const std::string csv = SyntheticCsv(500);
   std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunnerConfig config = SmallConfig(100, 2.5);
+  StreamConfig config = SmallConfig(100, 2.5);
   config.stop_when_exhausted = true;
-  StreamRunner runner(config);
   SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
-  const StreamReport& report = runner.report();
+  const SingleFeedRun run =
+      RunSingleFeedService(config, in, kSeed, capture.MakeSink());
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  const StreamReport& report = run.report;
   EXPECT_EQ(report.windows_published, 2u);
   EXPECT_EQ(report.windows_refused, 1u);  // the refusal that stopped the run
   EXPECT_EQ(capture.ids.size(), 200u);
@@ -128,51 +125,44 @@ TEST(StreamE2ETest, StopWhenExhaustedEndsRunAtFirstRefusal) {
 TEST(StreamE2ETest, ExactBudgetPublishesEveryWindow) {
   const std::string csv = SyntheticCsv(300);
   std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunner runner(SmallConfig(100, 3.0));
   SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
-  EXPECT_EQ(runner.report().windows_published, 3u);
-  EXPECT_EQ(runner.report().windows_refused, 0u);
-  EXPECT_NEAR(runner.accountant().remaining(), 0.0, 1e-9);
+  const SingleFeedRun run = RunSingleFeedService(SmallConfig(100, 3.0), in,
+                                                 kSeed, capture.MakeSink());
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_EQ(run.report.windows_published, 3u);
+  EXPECT_EQ(run.report.windows_refused, 0u);
+  ASSERT_NE(run.session, nullptr);
+  EXPECT_NEAR(run.session->accountant().remaining(), 0.0, 1e-9);
 }
 
 TEST(StreamE2ETest, DeterministicAcrossThreadCountsAndRepeats) {
   const std::string csv = SyntheticCsv(400);
-  auto run = [&](unsigned threads) {
+  auto run = [&](unsigned pool_threads) {
     std::istringstream in(csv);
-    TrajectoryReader reader(in);
-    StreamRunnerConfig config = SmallConfig(100, 0.0);
-    config.batch.threads = threads;
-    StreamRunner runner(config);
     SinkCapture capture;
-    Rng rng(kSeed);
-    auto sink = capture.MakeSink();
-    EXPECT_TRUE(runner.Run(reader, sink, rng).ok());
+    const SingleFeedRun result = RunSingleFeedService(
+        SmallConfig(100, 0.0), in, kSeed, capture.MakeSink(), pool_threads);
+    EXPECT_TRUE(result.status.ok()) << result.status.ToString();
     return capture;
   };
   const SinkCapture base = run(1);
   ASSERT_EQ(base.ids.size(), 400u);
-  for (const unsigned threads : {1u, 4u, 8u}) {
-    const SinkCapture other = run(threads);
-    ASSERT_EQ(other.ids.size(), base.ids.size()) << "threads " << threads;
-    EXPECT_EQ(other.ids, base.ids) << "threads " << threads;
-    EXPECT_EQ(other.points, base.points) << "threads " << threads;
+  for (const unsigned pool_threads : {1u, 4u, 8u}) {
+    const SinkCapture other = run(pool_threads);
+    ASSERT_EQ(other.ids.size(), base.ids.size()) << "pool " << pool_threads;
+    EXPECT_EQ(other.ids, base.ids) << "pool " << pool_threads;
+    EXPECT_EQ(other.points, base.points) << "pool " << pool_threads;
   }
 }
 
 TEST(StreamE2ETest, FinalPartialWindowIsPublished) {
   const std::string csv = SyntheticCsv(250);
   std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunner runner(SmallConfig(100, 0.0));
   SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  ASSERT_TRUE(runner.Run(reader, sink, rng).ok());
-  const StreamReport& report = runner.report();
+  const SingleFeedRun run = RunSingleFeedService(SmallConfig(100, 0.0), in,
+                                                 kSeed, capture.MakeSink());
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  const StreamReport& report = run.report;
   EXPECT_EQ(report.windows_published, 3u);
   ASSERT_EQ(report.windows.size(), 3u);
   EXPECT_EQ(report.windows[0].trajectories, 100u);
@@ -184,33 +174,33 @@ TEST(StreamE2ETest, FinalPartialWindowIsPublished) {
 TEST(StreamE2ETest, ParseErrorFailsRunWithoutPublishingPartialWindow) {
   // A malformed line mid-stream fails the run; the trailing partial window
   // assembled before the bad line must be neither published nor charged to
-  // the ledger (complete windows closed earlier stay published).
+  // the ledger (complete windows closed earlier stay published). The
+  // reader quarantines the feed, which drops its uncovered arrivals.
   std::string csv = SyntheticCsv(150);
   csv += "151,not_a_number,2.0,3\n";
   std::istringstream in(csv);
-  TrajectoryReader reader(in);
-  StreamRunner runner(SmallConfig(100, 0.0));
   SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  Status st = runner.Run(reader, sink, rng);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(runner.report().windows_published, 1u);
+  const SingleFeedRun run = RunSingleFeedService(SmallConfig(100, 0.0), in,
+                                                 kSeed, capture.MakeSink());
+  EXPECT_FALSE(run.status.ok());
+  EXPECT_TRUE(run.status.IsInvalidArgument()) << run.status.ToString();
+  EXPECT_EQ(run.report.windows_published, 1u);
   EXPECT_EQ(capture.ids.size(), 100u);
-  EXPECT_NEAR(runner.accountant().spent(), 1.0, 1e-9);
+  // The wholesale ledger (tracked in every mode) holds window 0 only.
+  EXPECT_NEAR(run.report.epsilon_wholesale_equivalent, 1.0, 1e-9);
+  EXPECT_NEAR(run.report.epsilon_spent, 1.0, 1e-9);
+  EXPECT_EQ(run.service->report().feeds_quarantined, 1u);
 }
 
 TEST(StreamE2ETest, DuplicateIdWithinWindowIsRejected) {
   std::istringstream in(
       "5,1.0,2.0,1\n5,2.0,3.0,2\n6,4.0,5.0,3\n5,6.0,7.0,4\n");
-  TrajectoryReader reader(in);
-  StreamRunner runner(SmallConfig(10, 0.0));
   SinkCapture capture;
-  Rng rng(kSeed);
-  auto sink = capture.MakeSink();
-  Status st = runner.Run(reader, sink, rng);
-  EXPECT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  const SingleFeedRun run = RunSingleFeedService(SmallConfig(10, 0.0), in,
+                                                 kSeed, capture.MakeSink());
+  EXPECT_FALSE(run.status.ok());
+  EXPECT_TRUE(run.status.IsInvalidArgument()) << run.status.ToString();
+  EXPECT_EQ(capture.windows, 0u);
 }
 
 }  // namespace

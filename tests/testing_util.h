@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <istream>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <streambuf>
@@ -20,7 +21,8 @@
 
 #include "core/pipeline.h"
 #include "service/dispatcher.h"
-#include "stream/stream_runner.h"
+#include "service/feed_ingest.h"
+#include "stream/stream_config.h"
 #include "synth/workload.h"
 #include "traj/dataset.h"
 
@@ -95,8 +97,8 @@ inline bool DatasetsEqual(const Dataset& a, const Dataset& b) {
   return true;
 }
 
-/// Window sink that records everything the stream publishes, window by
-/// window.
+/// Window sink that records everything one feed publishes, window by
+/// window (the feed id is ignored).
 struct SinkCapture {
   std::vector<TrajId> ids;
   std::vector<std::vector<TimedPoint>> points;
@@ -105,8 +107,8 @@ struct SinkCapture {
   std::vector<WindowReport> reports;
   size_t windows = 0;
 
-  WindowSink MakeSink() {
-    return [this](const Dataset& published,
+  ServiceSink MakeSink() {
+    return [this](const std::string&, const Dataset& published,
                   const WindowReport& report) -> Status {
       ++windows;
       reports.push_back(report);
@@ -121,6 +123,38 @@ struct SinkCapture {
     };
   }
 };
+
+/// Outcome of one run of the single-feed service (frt_stream's engine).
+struct SingleFeedRun {
+  /// RunSingleFeed's verdict: parse error, service error, or quarantine.
+  Status status;
+  /// The feed's merged report (empty when nothing arrived).
+  StreamReport report;
+  /// The feed's final session — its accountants hold the ledgers; null
+  /// when the feed was quarantined.
+  const FeedSession* session = nullptr;
+  std::unique_ptr<ServiceDispatcher> service;
+};
+
+/// \brief Runs `in` through the single-feed service exactly as frt_stream
+/// does (SingleFeedServiceConfig + RunSingleFeed), publishing into `sink`.
+/// `pool_threads` 0 is the service default.
+inline SingleFeedRun RunSingleFeedService(const StreamConfig& config,
+                                          std::istream& in, uint64_t seed,
+                                          ServiceSink sink,
+                                          unsigned pool_threads = 0) {
+  SingleFeedRun run;
+  run.service = std::make_unique<ServiceDispatcher>(
+      SingleFeedServiceConfig(config, pool_threads), std::move(sink));
+  run.status = run.service->Start(seed);
+  if (!run.status.ok()) return run;
+  run.status = RunSingleFeed(in, *run.service);
+  for (const FeedReport& feed : run.service->report().feeds_report) {
+    if (feed.feed == kSingleFeed) run.report = feed.stream;
+  }
+  run.session = run.service->FinishedSession(kSingleFeed);
+  return run;
+}
 
 /// Per-feed capture of everything a multi-feed service publishes. The
 /// ServiceSink runs on the dispatcher thread only; published_windows is

@@ -1,6 +1,7 @@
 // Unit tests for runtime/work_stealing_pool.h and common/bounded_queue.h:
 // completeness (every index exactly once), no deadlock on degenerate
-// workloads, pool reuse, scheduling-independent results, BatchRunner
+// workloads, pool reuse, Run from inside Submit tasks and from several
+// threads at once, scheduling-independent results, BatchRunner
 // equivalence between static and work-stealing dispatch, and queue
 // FIFO/backpressure/close semantics.
 
@@ -105,6 +106,55 @@ TEST(WorkStealingPoolTest, SkewedTasksAreRebalanced) {
   });
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1);
   EXPECT_GT(pool.steal_count(), 0u);
+}
+
+TEST(WorkStealingPoolTest, RunInsideSubmitTasksWhileEveryWorkerIsBusy) {
+  // Every worker sits in a Submit task that calls Run, so no worker is
+  // idle to take the dealt indices: each caller must run its own. (A Run
+  // that only waited for the workers would deadlock here.)
+  WorkStealingPool pool(4);
+  const unsigned workers = pool.num_workers();
+  const size_t n = 32;
+  std::vector<std::atomic<int>> hits(workers * n);
+  for (auto& h : hits) h.store(0);
+  std::atomic<unsigned> entered{0};
+  std::atomic<unsigned> finished{0};
+  for (unsigned w = 0; w < workers; ++w) {
+    pool.Submit([&, w] {
+      // Hold every worker inside a task before any Run starts.
+      entered.fetch_add(1);
+      while (entered.load() < workers) std::this_thread::yield();
+      pool.Run(n, [&, w](size_t i) { hits[w * n + i].fetch_add(1); });
+      finished.fetch_add(1);
+    });
+  }
+  pool.WaitIdle();
+  EXPECT_EQ(finished.load(), workers);
+  for (size_t k = 0; k < hits.size(); ++k) {
+    EXPECT_EQ(hits[k].load(), 1) << "run " << k / n << ", index " << k % n;
+  }
+}
+
+TEST(WorkStealingPoolTest, ConcurrentRunsFromSeveralThreadsHitEverySlotOnce) {
+  WorkStealingPool pool(3);
+  constexpr size_t kCallers = 4;
+  constexpr size_t kRounds = 25;
+  const size_t n = 48;
+  std::vector<std::atomic<int>> hits(kCallers * kRounds * n);
+  for (auto& h : hits) h.store(0);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t r = 0; r < kRounds; ++r) {
+        const size_t base = (c * kRounds + r) * n;
+        pool.Run(n, [&, base](size_t i) { hits[base + i].fetch_add(1); });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  for (size_t k = 0; k < hits.size(); ++k) {
+    EXPECT_EQ(hits[k].load(), 1) << "slot " << k;
+  }
 }
 
 Dataset SmallFleet(int taxis, uint64_t seed) {

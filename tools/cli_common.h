@@ -16,7 +16,7 @@
 #include "common/strings.h"
 #include "core/pipeline.h"
 #include "service/metrics_exporter.h"
-#include "stream/stream_runner.h"
+#include "stream/stream_config.h"
 
 namespace frt::cli {
 
@@ -101,10 +101,6 @@ struct PipelineArgs {
   uint64_t seed = 42;
   int shards = 1;
   unsigned threads = 0;
-  /// One window-audit index shared by all workers (concurrent read-only
-  /// searches) vs a private rebuild per worker range. Output is
-  /// bit-identical either way; --no-shared-index exists for A/B timing.
-  bool shared_index = true;
 };
 
 /// Outcome of offering one argv slot to the shared parser.
@@ -172,10 +168,6 @@ inline FlagParse ParsePipelineFlag(int argc, char** argv, int* i,
       return FlagParse::kError;
     }
     args->threads = static_cast<unsigned>(threads);
-  } else if (std::strcmp(flag, "--shared-index") == 0) {
-    args->shared_index = true;
-  } else if (std::strcmp(flag, "--no-shared-index") == 0) {
-    args->shared_index = false;
   } else {
     return FlagParse::kNotMine;
   }
@@ -218,19 +210,11 @@ inline const char* PipelineUsageText() {
       "  --shards K           dataset partitions anonymized independently "
       "(default 1)\n"
       "  --threads N          worker threads; 0 = hardware concurrency "
-      "(default 0)\n"
-      "  --shared-index       window audit shares one segment index "
-      "across all\n"
-      "                       workers via concurrent read-only searches "
-      "(default)\n"
-      "  --no-shared-index    window audit rebuilds a private index per "
-      "worker\n"
-      "                       range (A/B baseline; same output, more "
-      "build work)\n";
+      "(default 0)\n";
 }
 
-// ---- Streaming flags (frt_stream; shared here so future streaming tools
-// cannot drift from the same windowing/budget vocabulary) ----
+// ---- Streaming flags (frt_stream, frt_serve, frt_edge: one windowing and
+// budget vocabulary for every serving tool) ----
 
 /// Raw values of the streaming-service flags.
 struct StreamArgs {
@@ -240,7 +224,6 @@ struct StreamArgs {
   double per_object_budget = 0.0;  ///< per-object ledgers; 0 = off
   bool evict_exhausted = false;
   size_t queue = 0;
-  std::string dispatch = "steal";
   bool stop_on_exhausted = false;
   int64_t close_after_ms = 0;  ///< time-based window closure; 0 = off
 };
@@ -290,9 +273,6 @@ inline FlagParse ParseStreamFlag(int argc, char** argv, int* i,
     uint64_t n = 0;
     if (!ParseFlagUint64(flag, v, &n)) return FlagParse::kError;
     args->queue = static_cast<size_t>(n);
-  } else if (std::strcmp(flag, "--dispatch") == 0) {
-    if ((v = next()) == nullptr) return FlagParse::kError;
-    args->dispatch = v;
   } else if (std::strcmp(flag, "--stop-on-exhausted") == 0) {
     args->stop_on_exhausted = true;
   } else if (std::strcmp(flag, "--close-after-ms") == 0) {
@@ -311,12 +291,12 @@ inline FlagParse ParseStreamFlag(int argc, char** argv, int* i,
 }
 
 /// \brief Validates the streaming flags (with an already-validated pipeline
-/// config) and fills the StreamRunner config. Reports to stderr and returns
-/// false on invalid combinations.
+/// config) and fills the per-feed stream config. Reports to stderr and
+/// returns false on invalid combinations.
 inline bool MakeStreamConfig(const StreamArgs& args,
                              const PipelineArgs& pipeline_args,
                              const FrequencyRandomizerConfig& pipeline,
-                             StreamRunnerConfig* config) {
+                             StreamConfig* config) {
   if (args.stride > args.window) {
     std::fprintf(stderr, "--stride (%zu) must be <= --window (%zu)\n",
                  args.stride, args.window);
@@ -334,10 +314,6 @@ inline bool MakeStreamConfig(const StreamArgs& args,
                  "per-object ledger can refuse a single object)\n");
     return false;
   }
-  if (args.dispatch != "steal" && args.dispatch != "static") {
-    std::fprintf(stderr, "--dispatch must be steal or static\n");
-    return false;
-  }
   config->window_size = args.window;
   config->window_stride = args.stride;
   config->total_budget = args.budget;
@@ -352,11 +328,7 @@ inline bool MakeStreamConfig(const StreamArgs& args,
   config->batch.pipeline = pipeline;
   config->batch.shards = pipeline_args.shards;
   config->batch.threads = pipeline_args.threads;
-  config->batch.dispatch = args.dispatch == "static"
-                               ? ShardDispatch::kStatic
-                               : ShardDispatch::kWorkStealing;
   config->batch.audit.enabled = true;
-  config->batch.audit.shared_index = pipeline_args.shared_index;
   config->batch.audit.strategy = pipeline.strategy;
   config->batch.audit.index_levels = pipeline.index_levels;
   return true;
@@ -367,9 +339,8 @@ inline bool MakeStreamConfig(const StreamArgs& args,
 inline void PrintAuditReport(const WindowAuditReport& audit) {
   if (!audit.ran) return;
   std::fprintf(stderr,
-               "audit: shared-index=%s builds=%d build=%.3fs points=%llu "
-               "displacement mean/max %.3f/%.3f\n",
-               audit.shared_index ? "on" : "off", audit.index_builds,
+               "audit: build=%.3fs points=%llu displacement mean/max "
+               "%.3f/%.3f\n",
                audit.build_seconds,
                static_cast<unsigned long long>(audit.points_audited),
                audit.mean_displacement, audit.max_displacement);
@@ -397,10 +368,8 @@ inline const char* StreamUsageText() {
       "objects\n"
       "                       from a window instead of refusing the whole "
       "window\n"
-      "  --queue N            ingest queue capacity in trajectories "
-      "(default 2*window)\n"
-      "  --dispatch D         shard dispatch: steal | static (default "
-      "steal)\n"
+      "  --queue N            arrival queue capacity in trajectories "
+      "(default 4*window)\n"
       "  --stop-on-exhausted  end the run at the first refused window "
       "(required\n"
       "                       for --budget on a feed that never ends)\n"
@@ -411,7 +380,7 @@ inline const char* StreamUsageText() {
       "0 = off)\n";
 }
 
-// ---- Durability & metrics flags (frt_serve, frt_stream) ----
+// ---- Durability & metrics flags (frt_stream, frt_serve, frt_edge) ----
 
 /// Raw values of the shared durability/metrics flags.
 struct DurabilityArgs {
@@ -493,7 +462,7 @@ inline const char* DurabilityUsageText() {
       "interval\n";
 }
 
-// ---- Observability flags (frt_serve, frt_stream) ----
+// ---- Observability flags (frt_stream, frt_serve, frt_edge) ----
 
 /// Raw values of the shared observability flags.
 struct ObservabilityArgs {

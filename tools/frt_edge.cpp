@@ -40,24 +40,19 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cli_common.h"
 #include "frt.h"
 #include "net/frame.h"
 #include "net/socket.h"
-#include "obs/admin_server.h"
 #include "obs/trace.h"
-#include "obs/trace_export.h"
 #include "service/dispatcher.h"
-#include "stream/ingest.h"
-#include "traj/io.h"
+#include "service/feed_ingest.h"
+#include "service_cli.h"
 
 namespace {
 
@@ -93,14 +88,6 @@ void Usage(const char* prog) {
       prog, frt::cli::TransportUsageText(), frt::cli::DurabilityUsageText(),
       frt::cli::ObservabilityUsageText(), frt::cli::StreamUsageText(),
       frt::cli::PipelineUsageText());
-}
-
-std::string FeedNameFromPath(const std::string& path) {
-  size_t begin = path.find_last_of("/\\");
-  begin = begin == std::string::npos ? 0 : begin + 1;
-  size_t end = path.rfind('.');
-  if (end == std::string::npos || end <= begin) end = path.size();
-  return path.substr(begin, end - begin);
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -159,13 +146,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->feeds = v;
     } else if (std::strcmp(argv[i], "--input") == 0) {
       if ((v = next("--input")) == nullptr) return false;
-      const std::string spec = v;
-      const size_t eq = spec.find('=');
-      if (eq != std::string::npos && eq > 0) {
-        args->inputs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-      } else {
-        args->inputs.emplace_back(FeedNameFromPath(spec), spec);
-      }
+      args->inputs.push_back(frt::cli::ParseInputSpec(v));
     } else if (std::strcmp(argv[i], "--hello") == 0) {
       if ((v = next("--hello")) == nullptr) return false;
       args->hello = v;
@@ -196,76 +177,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                  "required\n");
     return false;
   }
-  std::set<std::string> seen;
-  for (const auto& [name, path] : args->inputs) {
-    if (name.empty()) {
-      std::fprintf(stderr, "empty feed name for --input %s\n", path.c_str());
-      return false;
-    }
-    if (!seen.insert(name).second) {
-      std::fprintf(stderr,
-                   "duplicate feed name '%s' (from --input %s); use "
-                   "NAME=FILE to disambiguate\n",
-                   name.c_str(), path.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Streams the interleaved multi-feed CSV (`feed,traj_id,x,y,t`) into the
-/// dispatcher — same contiguity contract as frt_serve.
-frt::Status IngestMultiFeedCsv(std::istream& in,
-                               frt::ServiceDispatcher& service) {
-  struct Assembly {
-    frt::Trajectory current{0};
-    bool has_current = false;
-  };
-  std::map<std::string, Assembly> assemblies;
-  std::vector<std::string> order;
-  std::string line;
-  size_t lineno = 0;
-  bool stopped = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    const size_t comma = line.find(',');
-    if (comma == std::string::npos || comma == 0) {
-      return frt::Status::InvalidArgument(
-          "line " + std::to_string(lineno) +
-          ": expected feed,traj_id,x,y,t");
-    }
-    const std::string feed = line.substr(0, comma);
-    FRT_ASSIGN_OR_RETURN(
-        const std::optional<frt::CsvRecord> record,
-        frt::ParseCsvRecord(
-            std::string_view(line).substr(comma + 1), lineno));
-    if (!record.has_value()) continue;
-    auto [it, inserted] = assemblies.try_emplace(feed);
-    if (inserted) order.push_back(feed);
-    Assembly& assembly = it->second;
-    if (assembly.has_current && assembly.current.id() != record->id) {
-      if (!service.Offer(feed, std::move(assembly.current))) {
-        stopped = true;
-        break;
-      }
-      assembly.has_current = false;
-    }
-    if (!assembly.has_current) {
-      assembly.current = frt::Trajectory(record->id);
-      assembly.has_current = true;
-    }
-    assembly.current.Append(record->p, record->t);
-  }
-  if (!stopped) {
-    for (const auto& feed : order) {
-      Assembly& assembly = assemblies[feed];
-      if (assembly.has_current && !assembly.current.empty()) {
-        if (!service.Offer(feed, std::move(assembly.current))) break;
-      }
-    }
-  }
-  return frt::Status::OK();
+  return frt::cli::ValidateInputs(args->inputs);
 }
 
 }  // namespace
@@ -312,27 +224,14 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.arrival_queue_capacity = config.stream.queue_capacity;
-  config.state_dir = args.durability.state_dir;
-  config.checkpoint_interval_ms = args.durability.checkpoint_interval_ms;
 
-  if (!args.obs.trace_out.empty()) {
-    frt::obs::TraceRecorder::Options trace_options;
-    trace_options.buffer_events =
-        static_cast<size_t>(args.obs.trace_buffer_events);
-    frt::obs::TraceRecorder::Get().Start(trace_options);
-    frt::obs::SetTraceThreadName("main");
-  }
-
+  frt::cli::StartTracing(args.obs);
   std::unique_ptr<frt::MetricsExporter> metrics;
-  if (!args.durability.metrics.empty()) {
-    metrics = std::make_unique<frt::MetricsExporter>(
-        frt::cli::MakeMetricsOptions(args.durability, args.obs));
-    if (auto st = metrics->Start(); !st.ok()) {
-      std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    config.metrics = metrics.get();
-    config.metrics_interval_ms = args.durability.metrics_interval_ms;
+  if (auto st = frt::cli::ConfigureDurability(args.durability, args.obs,
+                                              &config, &metrics);
+      !st.ok()) {
+    std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
+    return 1;
   }
 
   // ---- Upstream connection (written by the dispatcher thread only once
@@ -410,32 +309,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // ---- Admin plane (--admin-listen): the pre-registered /metrics and
-  // /healthz endpoints plus runtime control over tracing and the metrics
-  // cadence. Declared after the service so its thread joins before the
-  // service goes away. ----
+  // ---- Admin plane (--admin-listen). Declared after the service so its
+  // thread joins before the service goes away. ----
   std::unique_ptr<frt::obs::AdminServer> admin;
   if (admin_endpoint.has_value()) {
-    frt::obs::AdminServer::Options admin_options;
-    admin_options.endpoint = *admin_endpoint;
-    admin = std::make_unique<frt::obs::AdminServer>(admin_options);
-    frt::obs::ControlHooks hooks;
-    hooks.trace_out = args.obs.trace_out;
-    hooks.trace_buffer_events =
-        static_cast<size_t>(args.obs.trace_buffer_events);
-    frt::MetricsExporter* exporter = metrics.get();
-    frt::ServiceDispatcher* service_ptr = &service;
-    hooks.set_metrics_interval_ms = [service_ptr, exporter](int64_t ms) {
-      service_ptr->SetMetricsIntervalMs(ms);
-      if (exporter != nullptr) exporter->SetIntervalMs(ms);
-      return true;
-    };
-    admin->Handle("POST", "/control",
-                  frt::obs::MakeControlHandler(std::move(hooks)));
-    if (auto st = admin->Start(); !st.ok()) {
-      std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
+    auto started = frt::cli::StartAdminPlane(
+        *admin_endpoint, args.obs, args.durability, service, metrics.get());
+    if (!started.ok()) {
+      std::fprintf(stderr, "edge: %s\n",
+                   started.status().ToString().c_str());
       return 1;
     }
+    admin = *std::move(started);
     std::fprintf(stderr, "edge: admin plane on %s\n",
                  args.obs.admin_listen.c_str());
   }
@@ -452,38 +337,9 @@ int main(int argc, char** argv) {
       }
     }
     std::istream& in = args.feeds == "-" ? std::cin : feeds_file;
-    ingest_status = IngestMultiFeedCsv(in, service);
+    ingest_status = frt::IngestMultiFeedCsv(in, service);
   } else {
-    std::vector<frt::Status> statuses(args.inputs.size());
-    std::vector<std::thread> readers;
-    readers.reserve(args.inputs.size());
-    for (size_t i = 0; i < args.inputs.size(); ++i) {
-      readers.emplace_back([&, i] {
-        const auto& [feed, path] = args.inputs[i];
-        std::ifstream file(path);
-        if (!file.is_open()) {
-          statuses[i] = frt::Status::IOError("cannot open input: " + path);
-          return;
-        }
-        frt::TrajectoryReader reader(file);
-        for (;;) {
-          auto next = reader.Next();
-          if (!next.ok()) {
-            statuses[i] = next.status();
-            return;
-          }
-          if (!next->has_value()) return;
-          if (!service.Offer(feed, std::move(**next))) return;
-        }
-      });
-    }
-    for (auto& t : readers) t.join();
-    for (auto& st : statuses) {
-      if (!st.ok()) {
-        ingest_status = st;
-        break;
-      }
-    }
+    ingest_status = frt::IngestFeedFiles(args.inputs, service);
   }
 
   frt::Status run_status = service.Finish();
@@ -502,20 +358,7 @@ int main(int argc, char** argv) {
   upstream.Close();
 
   if (metrics) metrics->Stop();
-  if (!args.obs.trace_out.empty()) {
-    const frt::obs::TraceDump dump = frt::obs::TraceRecorder::Get().Stop();
-    if (auto st = frt::obs::WriteChromeTrace(dump, args.obs.trace_out);
-        !st.ok()) {
-      if (run_status.ok()) run_status = st;
-    } else {
-      std::fprintf(stderr,
-                   "trace: wrote %zu span(s) from %zu thread(s) to %s "
-                   "(%llu dropped)\n",
-                   dump.events.size(), dump.threads.size(),
-                   args.obs.trace_out.c_str(),
-                   static_cast<unsigned long long>(dump.dropped));
-    }
-  }
+  frt::cli::FinishTracing(args.obs, &run_status);
   if (run_status.ok()) run_status = ingest_status;
   if (!run_status.ok()) {
     std::fprintf(stderr, "edge: %s\n", run_status.ToString().c_str());

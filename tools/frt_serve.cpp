@@ -60,9 +60,7 @@
 // or was quarantined on a malformed stream; 1 = runtime error; 2 = usage
 // error.
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -71,22 +69,16 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cli_common.h"
-#include "common/strings.h"
 #include "frt.h"
 #include "net/ingress.h"
 #include "net/socket.h"
-#include "obs/admin_server.h"
-#include "obs/registry.h"
-#include "obs/trace.h"
-#include "obs/trace_export.h"
 #include "service/dispatcher.h"
-#include "stream/ingest.h"
+#include "service/feed_ingest.h"
+#include "service_cli.h"
 #include "traj/io.h"
 
 namespace {
@@ -139,14 +131,6 @@ void Usage(const char* prog) {
       prog, frt::cli::TransportUsageText(), frt::cli::DurabilityUsageText(),
       frt::cli::ObservabilityUsageText(), frt::cli::StreamUsageText(),
       frt::cli::PipelineUsageText());
-}
-
-std::string FeedNameFromPath(const std::string& path) {
-  size_t begin = path.find_last_of("/\\");
-  begin = begin == std::string::npos ? 0 : begin + 1;
-  size_t end = path.rfind('.');
-  if (end == std::string::npos || end <= begin) end = path.size();
-  return path.substr(begin, end - begin);
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -205,13 +189,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->feeds = v;
     } else if (std::strcmp(argv[i], "--input") == 0) {
       if ((v = next("--input")) == nullptr) return false;
-      const std::string spec = v;
-      const size_t eq = spec.find('=');
-      if (eq != std::string::npos && eq > 0) {
-        args->inputs.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
-      } else {
-        args->inputs.emplace_back(FeedNameFromPath(spec), spec);
-      }
+      args->inputs.push_back(frt::cli::ParseInputSpec(v));
     } else if (std::strcmp(argv[i], "--output") == 0) {
       if ((v = next("--output")) == nullptr) return false;
       args->output = v;
@@ -265,118 +243,7 @@ bool ParseArgs(int argc, char** argv, Args* args) {
                  "exactly one of --output or --output-dir is required\n");
     return false;
   }
-  std::set<std::string> seen;
-  for (const auto& [name, path] : args->inputs) {
-    if (name.empty()) {
-      std::fprintf(stderr, "empty feed name for --input %s\n", path.c_str());
-      return false;
-    }
-    if (!seen.insert(name).second) {
-      // Two readers racing arrivals into one session would make window
-      // composition depend on thread interleaving.
-      std::fprintf(stderr,
-                   "duplicate feed name '%s' (from --input %s); use "
-                   "NAME=FILE to disambiguate\n",
-                   name.c_str(), path.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
-/// /feedz JSON from the dispatcher's introspection board. The epsilon
-/// fields are emitted as strings with the exact frt_feed line formats
-/// (eps_spent %.6f, eps_remaining %g), so a scrape taken after shutdown
-/// is bit-identical to the final per-feed report lines — and "inf" never
-/// produces an invalid JSON number.
-std::string RenderFeedz(const frt::ServiceIntrospection& intro) {
-  std::string out = frt::StrFormat(
-      "{\"seq\":%llu,\"uptime_ms\":%lld,\"finished\":%s,\"aborted\":%s,"
-      "\"feeds\":%zu,\"active_sessions\":%zu,\"queue_depth\":%zu,"
-      "\"backlog_windows\":%zu,\"in_flight\":%zu,"
-      "\"feeds_quarantined\":%zu,\"feed\":[",
-      static_cast<unsigned long long>(intro.seq),
-      static_cast<long long>(intro.uptime_ms),
-      intro.finished ? "true" : "false", intro.aborted ? "true" : "false",
-      intro.feeds, intro.active_sessions, intro.queue_depth,
-      intro.backlog_windows, intro.in_flight, intro.feeds_quarantined);
-  bool first = true;
-  for (const frt::ServiceIntrospection::Feed& feed : intro.feeds_detail) {
-    if (!first) out += ',';
-    first = false;
-    out += frt::StrFormat(
-        "{\"feed\":\"%s\",\"eps_spent\":\"%.6f\",\"eps_remaining\":\"%g\","
-        "\"windows_published\":%zu,\"windows_refused\":%zu,\"backlog\":%zu,"
-        "\"quarantined\":%s",
-        frt::obs::JsonEscape(feed.feed).c_str(), feed.epsilon_spent,
-        feed.epsilon_remaining, feed.windows_published,
-        feed.windows_refused, feed.backlog,
-        feed.quarantined ? "true" : "false");
-    if (feed.quarantined) {
-      out += ",\"quarantine_reason\":\"" +
-             frt::obs::JsonEscape(feed.quarantine_reason) + "\"";
-    }
-    out += '}';
-  }
-  out += "]}\n";
-  return out;
-}
-
-/// Streams the interleaved multi-feed CSV (`feed,traj_id,x,y,t`) into the
-/// dispatcher. Per feed, consecutive same-id lines form one trajectory —
-/// the same contiguity contract the single-feed format has always had,
-/// applied per feed so distinct feeds may interleave freely.
-frt::Status IngestMultiFeedCsv(std::istream& in,
-                               frt::ServiceDispatcher& service) {
-  struct Assembly {
-    frt::Trajectory current{0};
-    bool has_current = false;
-  };
-  std::map<std::string, Assembly> assemblies;
-  std::vector<std::string> order;
-  std::string line;
-  size_t lineno = 0;
-  bool stopped = false;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.empty() || line[0] == '#') continue;
-    const size_t comma = line.find(',');
-    if (comma == std::string::npos || comma == 0) {
-      return frt::Status::InvalidArgument(
-          "line " + std::to_string(lineno) +
-          ": expected feed,traj_id,x,y,t");
-    }
-    const std::string feed = line.substr(0, comma);
-    FRT_ASSIGN_OR_RETURN(
-        const std::optional<frt::CsvRecord> record,
-        frt::ParseCsvRecord(
-            std::string_view(line).substr(comma + 1), lineno));
-    if (!record.has_value()) continue;
-    auto [it, inserted] = assemblies.try_emplace(feed);
-    if (inserted) order.push_back(feed);
-    Assembly& assembly = it->second;
-    if (assembly.has_current && assembly.current.id() != record->id) {
-      if (!service.Offer(feed, std::move(assembly.current))) {
-        stopped = true;  // service aborted; stop reading
-        break;
-      }
-      assembly.has_current = false;
-    }
-    if (!assembly.has_current) {
-      assembly.current = frt::Trajectory(record->id);
-      assembly.has_current = true;
-    }
-    assembly.current.Append(record->p, record->t);
-  }
-  if (!stopped) {
-    for (const auto& feed : order) {
-      Assembly& assembly = assemblies[feed];
-      if (assembly.has_current && !assembly.current.empty()) {
-        if (!service.Offer(feed, std::move(assembly.current))) break;
-      }
-    }
-  }
-  return frt::Status::OK();
+  return frt::cli::ValidateInputs(args->inputs);
 }
 
 }  // namespace
@@ -432,31 +299,16 @@ int main(int argc, char** argv) {
   // The shared --queue flag bounds the service's tagged arrival queue
   // (per-session queues do not exist; backpressure is at the dispatcher).
   config.arrival_queue_capacity = config.stream.queue_capacity;
-  config.state_dir = args.durability.state_dir;
-  config.checkpoint_interval_ms = args.durability.checkpoint_interval_ms;
 
-  // Arm span tracing before any ingest/service thread starts so the trace
-  // covers the whole run.
-  if (!args.obs.trace_out.empty()) {
-    frt::obs::TraceRecorder::Options trace_options;
-    trace_options.buffer_events =
-        static_cast<size_t>(args.obs.trace_buffer_events);
-    frt::obs::TraceRecorder::Get().Start(trace_options);
-    frt::obs::SetTraceThreadName("main");
-  }
-
+  frt::cli::StartTracing(args.obs);
   // The exporter outlives the service (the dispatcher thread publishes
   // into it until Finish), so it is declared first and stopped last.
   std::unique_ptr<frt::MetricsExporter> metrics;
-  if (!args.durability.metrics.empty()) {
-    metrics = std::make_unique<frt::MetricsExporter>(
-        frt::cli::MakeMetricsOptions(args.durability, args.obs));
-    if (auto st = metrics->Start(); !st.ok()) {
-      std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    config.metrics = metrics.get();
-    config.metrics_interval_ms = args.durability.metrics_interval_ms;
+  if (auto st = frt::cli::ConfigureDurability(args.durability, args.obs,
+                                              &config, &metrics);
+      !st.ok()) {
+    std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
+    return 1;
   }
 
   // ---- Output plumbing (called from the dispatcher thread only). ----
@@ -531,104 +383,17 @@ int main(int argc, char** argv) {
   }
 
   // ---- Admin plane (--admin-listen). Declared after the service so it
-  // is destroyed (and its thread joined) before the service goes away;
-  // handlers read only the registry and the introspection board. ----
+  // is destroyed (and its thread joined) before the service goes away. ----
   std::unique_ptr<frt::obs::AdminServer> admin;
   if (admin_endpoint.has_value()) {
-    frt::obs::AdminServer::Options admin_options;
-    admin_options.endpoint = *admin_endpoint;
-    admin = std::make_unique<frt::obs::AdminServer>(admin_options);
-    // Staleness threshold for /healthz and /readyz; follows the metrics
-    // interval when /control retunes it.
-    auto stale_after_ms = std::make_shared<std::atomic<int64_t>>(
-        std::max<int64_t>(5 * args.durability.metrics_interval_ms, 5000));
-    admin->Handle(
-        "GET", "/healthz",
-        [&service, stale_after_ms](const frt::obs::HttpRequest&) {
-          frt::obs::HttpResponse r;
-          const auto intro = service.Introspect();
-          if (intro == nullptr) {
-            r.status = 503;
-            r.body = "starting\n";
-            return r;
-          }
-          const double age_ms =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - intro->published_at)
-                  .count();
-          if (!intro->finished &&
-              age_ms > static_cast<double>(stale_after_ms->load(
-                           std::memory_order_relaxed))) {
-            r.status = 503;
-            r.body = frt::StrFormat(
-                "stale: introspection board is %.0f ms old (seq %llu)\n",
-                age_ms, static_cast<unsigned long long>(intro->seq));
-            return r;
-          }
-          r.body = "ok\n";
-          return r;
-        });
-    admin->Handle(
-        "GET", "/readyz",
-        [&service, stale_after_ms](const frt::obs::HttpRequest&) {
-          frt::obs::HttpResponse r;
-          const auto intro = service.Introspect();
-          if (intro == nullptr) {
-            r.status = 503;
-            r.body = "starting\n";
-            return r;
-          }
-          if (intro->aborted || intro->finished) {
-            r.status = 503;
-            r.body = intro->aborted ? "aborted\n" : "finished\n";
-            return r;
-          }
-          const double age_ms =
-              std::chrono::duration<double, std::milli>(
-                  std::chrono::steady_clock::now() - intro->published_at)
-                  .count();
-          if (age_ms > static_cast<double>(stale_after_ms->load(
-                           std::memory_order_relaxed))) {
-            r.status = 503;
-            r.body = "stale\n";
-            return r;
-          }
-          r.body = "ready\n";
-          return r;
-        });
-    admin->Handle("GET", "/feedz",
-                  [&service](const frt::obs::HttpRequest&) {
-                    frt::obs::HttpResponse r;
-                    r.content_type = "application/json";
-                    const auto intro = service.Introspect();
-                    if (intro == nullptr) {
-                      r.status = 503;
-                      r.body = "{\"error\":\"starting\"}\n";
-                      return r;
-                    }
-                    r.body = RenderFeedz(*intro);
-                    return r;
-                  });
-    frt::obs::ControlHooks hooks;
-    hooks.trace_out = args.obs.trace_out;
-    hooks.trace_buffer_events =
-        static_cast<size_t>(args.obs.trace_buffer_events);
-    frt::MetricsExporter* exporter = metrics.get();
-    frt::ServiceDispatcher* service_ptr = &service;
-    hooks.set_metrics_interval_ms = [service_ptr, exporter,
-                                     stale_after_ms](int64_t ms) {
-      service_ptr->SetMetricsIntervalMs(ms);
-      if (exporter != nullptr) exporter->SetIntervalMs(ms);
-      stale_after_ms->store(std::max<int64_t>(5 * ms, 5000),
-                            std::memory_order_relaxed);
-      return true;
-    };
-    admin->Handle("POST", "/control",
-                  frt::obs::MakeControlHandler(std::move(hooks)));
-    if (auto st = admin->Start(); !st.ok()) {
-      std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
+    auto started = frt::cli::StartAdminPlane(
+        *admin_endpoint, args.obs, args.durability, service, metrics.get());
+    if (!started.ok()) {
+      std::fprintf(stderr, "serve: %s\n",
+                   started.status().ToString().c_str());
       return 1;
     }
+    admin = *std::move(started);
     std::fprintf(stderr, "serve: admin plane on %s\n",
                  args.obs.admin_listen.c_str());
   }
@@ -682,59 +447,17 @@ int main(int argc, char** argv) {
       }
     }
     std::istream& in = args.feeds == "-" ? std::cin : feeds_file;
-    ingest_status = IngestMultiFeedCsv(in, service);
+    ingest_status = frt::IngestMultiFeedCsv(in, service);
   } else {
     // One ingest thread per input file; each drives its own feed.
-    std::vector<frt::Status> statuses(args.inputs.size());
-    std::vector<std::thread> readers;
-    readers.reserve(args.inputs.size());
-    for (size_t i = 0; i < args.inputs.size(); ++i) {
-      readers.emplace_back([&, i] {
-        const auto& [feed, path] = args.inputs[i];
-        std::ifstream file(path);
-        if (!file.is_open()) {
-          statuses[i] = frt::Status::IOError("cannot open input: " + path);
-          return;
-        }
-        frt::TrajectoryReader reader(file);
-        for (;;) {
-          auto next = reader.Next();
-          if (!next.ok()) {
-            statuses[i] = next.status();
-            return;
-          }
-          if (!next->has_value()) return;
-          if (!service.Offer(feed, std::move(**next))) return;
-        }
-      });
-    }
-    for (auto& t : readers) t.join();
-    for (auto& st : statuses) {
-      if (!st.ok()) {
-        ingest_status = st;
-        break;
-      }
-    }
+    ingest_status = frt::IngestFeedFiles(args.inputs, service);
   }
 
   frt::Status run_status = service.Finish();
   if (metrics) metrics->Stop();  // flush the final frt_metrics line
-  if (!args.obs.trace_out.empty()) {
-    // Everything is quiesced (Finish joined the pool and dispatcher), so
-    // the dump is complete.
-    const frt::obs::TraceDump dump = frt::obs::TraceRecorder::Get().Stop();
-    if (auto st = frt::obs::WriteChromeTrace(dump, args.obs.trace_out);
-        !st.ok()) {
-      if (run_status.ok()) run_status = st;
-    } else {
-      std::fprintf(stderr,
-                   "trace: wrote %zu span(s) from %zu thread(s) to %s "
-                   "(%llu dropped)\n",
-                   dump.events.size(), dump.threads.size(),
-                   args.obs.trace_out.c_str(),
-                   static_cast<unsigned long long>(dump.dropped));
-    }
-  }
+  // Everything is quiesced (Finish joined the pool and dispatcher), so the
+  // trace dump is complete.
+  frt::cli::FinishTracing(args.obs, &run_status);
   if (run_status.ok()) run_status = ingest_status;
   if (!run_status.ok()) {
     std::fprintf(stderr, "serve: %s\n", run_status.ToString().c_str());

@@ -4,10 +4,11 @@
 // (`--input -`) incrementally, assembles windows of --window trajectories
 // (advancing by --stride arrivals; stride < window gives sliding,
 // overlapping windows), anonymizes each window with the paper's pipeline
-// (sharded, work-stealing execution), and appends each published window to
-// the output as soon as it is done. Within a window the guarantee is
-// eps_G + eps_L (parallel composition over shards); across windows spends
-// compose sequentially under one of two ledgers:
+// (its --shards run on a shared work-stealing pool of --threads workers),
+// and appends each published window to the output as soon as it is done.
+// Within a window the guarantee is eps_G + eps_L (parallel composition
+// over shards); across windows spends compose sequentially under one of
+// two ledgers:
 //
 //   --budget B            wholesale: all windows' spends sum against B.
 //   --per-object-budget B per object-id: each object's own cumulative
@@ -23,45 +24,38 @@
 //       [--epsilon-global 0.5] [--epsilon-local 0.5] [--m 10]
 //       [--strategy hg+|hgt|hgb|ug|linear] [--order global|local]
 //       [--seed 42] [--shards 1] [--threads 0] [--queue 0]
-//       [--dispatch steal|static] [--stop-on-exhausted]
-//       [--close-after-ms 0] [--state-dir DIR] [--metrics PATH]
-//       [--trace-out PATH] [--trace-buffer-events N] [--metrics-histograms]
-//       [--admin-listen EP]
+//       [--stop-on-exhausted] [--close-after-ms 0] [--state-dir DIR]
+//       [--metrics PATH] [--trace-out PATH] [--trace-buffer-events N]
+//       [--metrics-histograms] [--admin-listen EP]
 //
-// With --state-dir the budget ledger is checkpointed durably before every
-// published window leaves the process and recovered on the next start
-// (PrivacyAccountant::PreloadSpent / ObjectBudgetAccountant::PreloadFloor
-// — the conservative carry), so a crash or restart against the same state
-// dir never re-grants spent epsilon.
+// The engine is the multi-feed service (service/dispatcher.h) with one
+// feed named "stream": its output is byte-identical to
+// `frt_serve --input stream=FILE --output-dir DIR` at the same flags and
+// seed. With --state-dir the budget ledger is checkpointed durably before
+// every published window leaves the process and recovered on the next
+// start (the conservative carry), so a crash or restart against the same
+// state dir never re-grants spent epsilon.
 //
 // --close-after-ms is the latency SLO for live/trickle feeds: a non-empty
 // window is published no later than that many milliseconds after its
 // oldest pending arrival, even when the feed has not yet filled --window.
 //
 // Exit codes: 0 = all windows published; 3 = completed but at least one
-// window was refused (or object evicted) on budget; 1 = runtime error;
-// 2 = usage error.
+// window was refused (or object evicted) on budget; 1 = runtime error
+// (including malformed input); 2 = usage error.
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "cli_common.h"
 #include "frt.h"
-#include "obs/admin_server.h"
-#include "obs/trace.h"
-#include "obs/trace_export.h"
-#include "service/checkpoint.h"
-#include "service/metrics_exporter.h"
-#include "stream/ingest.h"
-#include "stream/stream_runner.h"
+#include "service/feed_ingest.h"
+#include "service_cli.h"
 
 namespace {
 
@@ -161,9 +155,9 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
-  frt::StreamRunnerConfig config;
+  frt::StreamConfig stream_config;
   if (!frt::cli::MakeStreamConfig(args.stream, args.pipeline, pipeline_config,
-                                  &config)) {
+                                  &stream_config)) {
     Usage(argv[0]);
     return 2;
   }
@@ -179,6 +173,9 @@ int main(int argc, char** argv) {
     }
     admin_endpoint = *std::move(endpoint);
   }
+  // --threads sizes the shared pool a window's shards run on.
+  frt::ServiceConfig config = frt::SingleFeedServiceConfig(
+      std::move(stream_config), args.pipeline.threads);
 
   std::ifstream input_file;
   if (args.input != "-") {
@@ -200,133 +197,28 @@ int main(int argc, char** argv) {
   }
   std::ostream& out = args.output == "-" ? std::cout : output_file;
 
-  // ---- Durable budget ledger (single feed entry "stream"). ----
-  std::optional<frt::CheckpointStore> store;
-  uint64_t checkpoint_seq = 0;
-  uint64_t generation = 0;
-  uint64_t windows_closed_base = 0;
-  size_t checkpoints_written = 0;
-  if (!args.durability.state_dir.empty()) {
-    auto opened = frt::CheckpointStore::Open(args.durability.state_dir);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "stream: %s\n",
-                   opened.status().ToString().c_str());
-      return 1;
-    }
-    store.emplace(*std::move(opened));
-    auto loaded = store->Load();
-    if (!loaded.ok()) {
-      // A corrupt snapshot must fail the start: running without the
-      // recovered spend would re-grant budget that was already consumed.
-      std::fprintf(stderr, "stream: %s\n",
-                   loaded.status().ToString().c_str());
-      return 1;
-    }
-    if (loaded->has_value()) {
-      checkpoint_seq = (*loaded)->sequence;
-      for (const frt::FeedCheckpoint& feed : (*loaded)->feeds) {
-        if (feed.feed != "stream") continue;
-        config.preload_wholesale_spent = feed.wholesale_spent;
-        config.preload_object_floor = feed.per_object_floor;
-        generation = feed.generations;
-        windows_closed_base = feed.windows_closed;
-      }
-      std::fprintf(stderr,
-                   "stream: recovered budget state from %s (seq %llu, "
-                   "wholesale spent %.6f, per-object floor %.6f)\n",
-                   args.durability.state_dir.c_str(),
-                   static_cast<unsigned long long>(checkpoint_seq),
-                   config.preload_wholesale_spent,
-                   config.preload_object_floor);
-    }
-    ++generation;
-  }
-
+  frt::cli::StartTracing(args.obs);
+  // The exporter outlives the service (the dispatcher publishes into it
+  // until Finish), so it is declared first and stopped last.
   std::unique_ptr<frt::MetricsExporter> metrics;
-  if (!args.durability.metrics.empty()) {
-    metrics = std::make_unique<frt::MetricsExporter>(
-        frt::cli::MakeMetricsOptions(args.durability, args.obs));
-    if (auto st = metrics->Start(); !st.ok()) {
-      std::fprintf(stderr, "stream: %s\n", st.ToString().c_str());
-      return 1;
-    }
+  if (auto st = frt::cli::ConfigureDurability(args.durability, args.obs,
+                                              &config, &metrics);
+      !st.ok()) {
+    std::fprintf(stderr, "stream: %s\n", st.ToString().c_str());
+    return 1;
   }
 
-  // Arm span tracing before the runner spawns its ingest/pool threads.
-  if (!args.obs.trace_out.empty()) {
-    frt::obs::TraceRecorder::Options trace_options;
-    trace_options.buffer_events =
-        static_cast<size_t>(args.obs.trace_buffer_events);
-    frt::obs::TraceRecorder::Get().Start(trace_options);
-    frt::obs::SetTraceThreadName("stream-runner");
-  }
-
-  // ---- Admin plane (--admin-listen): the pre-registered /metrics and
-  // /healthz endpoints plus runtime control over tracing and the metrics
-  // cadence. Handlers only touch the registry and the exporter's atomic
-  // interval — never the runner. ----
-  std::unique_ptr<frt::obs::AdminServer> admin;
-  if (admin_endpoint.has_value()) {
-    frt::obs::AdminServer::Options admin_options;
-    admin_options.endpoint = *admin_endpoint;
-    admin = std::make_unique<frt::obs::AdminServer>(admin_options);
-    frt::obs::ControlHooks hooks;
-    hooks.trace_out = args.obs.trace_out;
-    hooks.trace_buffer_events =
-        static_cast<size_t>(args.obs.trace_buffer_events);
-    if (metrics) {
-      frt::MetricsExporter* exporter = metrics.get();
-      hooks.set_metrics_interval_ms = [exporter](int64_t ms) {
-        exporter->SetIntervalMs(ms);
-        return true;
-      };
-    }
-    admin->Handle("POST", "/control",
-                  frt::obs::MakeControlHandler(std::move(hooks)));
-    if (auto st = admin->Start(); !st.ok()) {
-      std::fprintf(stderr, "stream: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "stream: admin plane on %s\n",
-                 args.obs.admin_listen.c_str());
-  }
-
-  frt::TrajectoryReader reader(in);
-  frt::StreamRunner runner(config);
-  frt::Rng rng(args.pipeline.seed);
   const bool per_object =
-      config.accounting == frt::BudgetAccounting::kPerObject;
-  const auto run_started = std::chrono::steady_clock::now();
-  size_t windows_published_so_far = 0;
-  size_t trajectories_published_so_far = 0;
-
-  auto write_checkpoint = [&]() -> frt::Status {
-    frt::ServiceCheckpoint image;
-    image.sequence = checkpoint_seq + 1;
-    image.total_budget = config.total_budget;
-    image.per_object_budget = config.per_object_budget;
-    frt::FeedCheckpoint feed;
-    feed.feed = "stream";
-    feed.generations = generation;
-    feed.windows_closed = windows_closed_base + windows_published_so_far;
-    feed.wholesale_spent = runner.accountant().spent();
-    feed.per_object_floor = runner.object_accountant().max_spent();
-    image.feeds.push_back(std::move(feed));
-    FRT_RETURN_IF_ERROR(store->Write(image));
-    checkpoint_seq = image.sequence;
-    ++checkpoints_written;
-    return frt::Status::OK();
-  };
-
+      config.stream.accounting == frt::BudgetAccounting::kPerObject;
+  const double budget = per_object ? config.stream.per_object_budget
+                                   : config.stream.total_budget;
+  const std::string budget_note =
+      budget > 0.0 ? " of " + std::to_string(budget) : "";
   bool wrote_header = false;
-  auto sink = [&](const frt::Dataset& published,
+  // Runs on the dispatcher thread, after the write-ahead checkpoint that
+  // covers this window's spend is durable.
+  auto sink = [&](const std::string&, const frt::Dataset& published,
                   const frt::WindowReport& window) -> frt::Status {
-    // Write-ahead: ProcessWindow charged the accountants before calling
-    // the sink, so a durable snapshot taken NOW covers this window's
-    // spend. Only after it persists may the rows leave the process.
-    if (store.has_value()) {
-      FRT_RETURN_IF_ERROR(write_checkpoint());
-    }
     if (!wrote_header) {
       out << "# traj_id,x,y,t\n";
       wrote_header = true;
@@ -337,7 +229,7 @@ int main(int argc, char** argv) {
     out.flush();
     if (!out.good()) return frt::Status::IOError("write failed");
     const frt::BatchReport& batch = window.batch;
-    std::string evicted_note =
+    const std::string evicted_note =
         window.trajectories_evicted > 0
             ? ", " + std::to_string(window.trajectories_evicted) + " evicted"
             : "";
@@ -345,103 +237,73 @@ int main(int argc, char** argv) {
                  "window %zu: %zu trajs%s, eps=%.2f (%s %.2f%s), %.2fs "
                  "wall, shard wall min/mean/max %.3f/%.3f/%.3f s\n",
                  window.index, window.trajectories, evicted_note.c_str(),
-                 window.epsilon_spent,
-                 per_object ? "max object" : "ledger", window.epsilon_total,
-                 args.stream.budget > 0.0
-                     ? (" of " + std::to_string(args.stream.budget)).c_str()
-                     : (args.stream.per_object_budget > 0.0
-                            ? (" of " +
-                               std::to_string(args.stream.per_object_budget))
-                                  .c_str()
-                            : ""),
+                 window.epsilon_spent, per_object ? "max object" : "ledger",
+                 window.epsilon_total, budget_note.c_str(),
                  batch.wall_seconds, batch.shard_wall_min,
                  batch.shard_wall_mean, batch.shard_wall_max);
     frt::cli::PrintAuditReport(batch.audit);
-    ++windows_published_so_far;
-    trajectories_published_so_far += window.trajectories;
-    if (metrics) {
-      frt::MetricsSnapshot snapshot;
-      snapshot.seq = windows_published_so_far;
-      snapshot.uptime_ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - run_started)
-              .count();
-      snapshot.feeds = 1;
-      snapshot.active_sessions = 1;
-      snapshot.windows_published = windows_published_so_far;
-      snapshot.trajectories_published = trajectories_published_so_far;
-      snapshot.epsilon_spent_max = window.epsilon_total;
-      snapshot.checkpoint_seq = checkpoint_seq;
-      snapshot.checkpoints_written = checkpoints_written;
-      if (checkpoints_written > 0) snapshot.checkpoint_age_ms = 0.0;
-      if (metrics->per_feed()) {
-        frt::MetricsSnapshot::Feed detail;
-        detail.feed = "stream";
-        detail.epsilon_spent = window.epsilon_total;
-        const double budget =
-            per_object ? config.per_object_budget : config.total_budget;
-        detail.epsilon_remaining =
-            budget > 0.0 ? std::max(0.0, budget - window.epsilon_total)
-                         : std::numeric_limits<double>::infinity();
-        detail.windows_published = windows_published_so_far;
-        snapshot.feeds_detail.push_back(std::move(detail));
-      }
-      metrics->Publish(std::move(snapshot));
-    }
     return frt::Status::OK();
   };
 
-  frt::Status run_status = runner.Run(reader, sink, rng);
-  // Clean-shutdown snapshot: spend recorded after the last publish (or a
-  // failed run's partial spend) stays durable.
-  if (store.has_value()) {
-    if (auto st = write_checkpoint(); !st.ok() && run_status.ok()) {
-      run_status = st;
-    }
+  frt::ServiceDispatcher service(std::move(config), sink);
+  if (auto st = service.Start(args.pipeline.seed); !st.ok()) {
+    std::fprintf(stderr, "stream: %s\n", st.ToString().c_str());
+    return 1;
   }
-  if (metrics) metrics->Stop();
-  if (!args.obs.trace_out.empty()) {
-    // Run() joined its producer and pool threads, so the dump is complete.
-    const frt::obs::TraceDump dump = frt::obs::TraceRecorder::Get().Stop();
-    if (auto st = frt::obs::WriteChromeTrace(dump, args.obs.trace_out);
-        !st.ok()) {
-      if (run_status.ok()) run_status = st;
-    } else {
-      std::fprintf(stderr,
-                   "trace: wrote %zu span(s) from %zu thread(s) to %s "
-                   "(%llu dropped)\n",
-                   dump.events.size(), dump.threads.size(),
-                   args.obs.trace_out.c_str(),
-                   static_cast<unsigned long long>(dump.dropped));
+  std::unique_ptr<frt::obs::AdminServer> admin;
+  if (admin_endpoint.has_value()) {
+    auto started = frt::cli::StartAdminPlane(
+        *admin_endpoint, args.obs, args.durability, service, metrics.get());
+    if (!started.ok()) {
+      std::fprintf(stderr, "stream: %s\n",
+                   started.status().ToString().c_str());
+      return 1;
     }
+    admin = *std::move(started);
+    std::fprintf(stderr, "stream: admin plane on %s\n",
+                 args.obs.admin_listen.c_str());
   }
+
+  frt::Status run_status = frt::RunSingleFeed(in, service);
+  if (metrics) metrics->Stop();  // flush the final frt_metrics line
+  frt::cli::FinishTracing(args.obs, &run_status);
   if (!run_status.ok()) {
     std::fprintf(stderr, "stream: %s\n", run_status.ToString().c_str());
     return 1;
   }
-  if (store.has_value()) {
+  const frt::ServiceReport& service_report = service.report();
+  if (!args.durability.state_dir.empty()) {
     std::fprintf(stderr,
-                 "durability: wrote %zu checkpoint(s) to %s (last seq "
-                 "%llu)\n",
-                 checkpoints_written, args.durability.state_dir.c_str(),
-                 static_cast<unsigned long long>(checkpoint_seq));
+                 "durability: recovered %zu feed(s) from %s, wrote %zu "
+                 "checkpoint(s) (last seq %llu)\n",
+                 service_report.feeds_recovered,
+                 args.durability.state_dir.c_str(),
+                 service_report.checkpoints_written,
+                 static_cast<unsigned long long>(
+                     service_report.checkpoint_sequence));
   }
 
-  const frt::StreamReport& report = runner.report();
+  frt::StreamReport report;
+  for (const frt::FeedReport& feed : service_report.feeds_report) {
+    if (feed.feed == frt::kSingleFeed) report = feed.stream;
+  }
   std::fprintf(stderr,
                "stream done in %.1fs: %zu trajectories in, %zu windows "
                "published (%zu trajs), eps %s %.2f\n",
-               report.wall_seconds, report.trajectories_in,
+               service_report.wall_seconds, report.trajectories_in,
                report.windows_published, report.trajectories_published,
                per_object ? "max object" : "ledger", report.epsilon_spent);
   if (per_object) {
+    const frt::FeedSession* session =
+        service.FinishedSession(frt::kSingleFeed);
     std::fprintf(stderr,
                  "per-object accounting: max object eps %.2f vs %.2f the "
                  "wholesale ledger would have charged (%zu object(s) "
                  "tracked, %zu evicted from windows)\n",
-                 runner.object_accountant().max_spent(),
-                 report.epsilon_wholesale_equivalent,
-                 runner.object_accountant().tracked_objects(),
+                 report.epsilon_spent, report.epsilon_wholesale_equivalent,
+                 session != nullptr
+                     ? session->object_accountant().tracked_objects()
+                     : size_t{0},
                  report.trajectories_evicted);
   }
   if (frt::StreamHadRefusals(report)) {
@@ -451,9 +313,7 @@ int main(int argc, char** argv) {
                  "%.2f of %.2f; raise the budget or lower the per-window "
                  "epsilons to cover more of the stream\n",
                  report.windows_refused, report.trajectories_refused,
-                 report.trajectories_evicted, report.epsilon_spent,
-                 per_object ? args.stream.per_object_budget
-                            : args.stream.budget);
+                 report.trajectories_evicted, report.epsilon_spent, budget);
     return 3;
   }
   return 0;
