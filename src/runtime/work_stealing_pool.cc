@@ -128,14 +128,12 @@ bool WorkStealingPool::TryAcquire(unsigned id, Task* task) {
 
 bool WorkStealingPool::TryAcquireOwn(const RunState* run, Task* task) {
   for (const auto& queue : queues_) {
-    std::unique_lock<std::mutex> lock(queue->mu);
+    std::lock_guard<std::mutex> lock(queue->mu);
     for (auto it = queue->tasks.begin(); it != queue->tasks.end(); ++it) {
       if (it->run != run) continue;
       *task = *it;
       queue->tasks.erase(it);
       queued_.fetch_sub(1, std::memory_order_acq_rel);
-      lock.unlock();
-      CountSteal();
       return true;
     }
   }
@@ -172,9 +170,12 @@ void WorkStealingPool::WorkerLoop(unsigned id) {
         // destructor never strands an accepted job.
         async_task = std::move(async_.front());
         async_.pop_front();
-      } else if (queued_.load(std::memory_order_acquire) == 0) {
-        return;  // shutdown with nothing left to run
+      } else if (shutdown_ && queued_.load(std::memory_order_acquire) == 0) {
+        return;
       }
+      // Otherwise go look for dealt Run indices. Run callers claim them
+      // outside mu_, so the deques may already be empty again; the worker
+      // then finds nothing and goes back to waiting.
     }
     if (tracing && obs::TraceEnabled()) {
       // Only report waits long enough to matter; sub-10us wakeups would

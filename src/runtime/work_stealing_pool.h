@@ -88,9 +88,9 @@ class WorkStealingPool {
 
   unsigned num_workers() const { return num_workers_; }
 
-  /// Total Run indices obtained by stealing — by a worker from another
-  /// worker's deque, or by a Run caller from any deque — since
-  /// construction. Diagnostic only; racy reads are acceptable.
+  /// Total Run indices a worker stole from another worker's deque since
+  /// construction (a Run caller claiming its own indices does not count).
+  /// Diagnostic only; racy reads are acceptable.
   uint64_t steal_count() const { return steals_; }
 
  private:

@@ -196,7 +196,19 @@ bool ServiceDispatcher::OfferQuarantine(std::string feed,
   // good arrivals are still routed before the fault takes effect.
   Arrival arrival;
   arrival.feed = std::move(feed);
-  arrival.quarantine = true;
+  arrival.kind = Arrival::Kind::kQuarantine;
+  arrival.reason = std::move(reason);
+  return arrivals_->Push(std::move(arrival));
+}
+
+bool ServiceDispatcher::OfferInputFault(std::string feed,
+                                        std::string reason) {
+  if (!started_) return false;
+  // Ordered after the feed's earlier arrivals, like OfferQuarantine: the
+  // windows they close are exactly the ones that publish.
+  Arrival arrival;
+  arrival.feed = std::move(feed);
+  arrival.kind = Arrival::Kind::kInputFault;
   arrival.reason = std::move(reason);
   return arrivals_->Push(std::move(arrival));
 }
@@ -226,7 +238,7 @@ void ServiceDispatcher::Route(Arrival&& arrival,
   if (inserted) feed_order_.push_back(arrival.feed);
   // A quarantined feed never revives: its stream already proved
   // untrustworthy, so everything it sends after the fault is dropped.
-  if (slot.quarantined) return;
+  if (slot.quarantined || slot.input_failed) return;
   if (!slot.session) {
     // Generation 0, or a revival of an idle-evicted feed: the carry
     // preloads the predecessor's budget state conservatively.
@@ -342,24 +354,40 @@ void ServiceDispatcher::QuarantineFeed(const std::string& feed,
   auto [it, inserted] = feeds_.try_emplace(feed);
   FeedSlot& slot = it->second;
   if (inserted) feed_order_.push_back(feed);
-  if (!slot.quarantined) {  // first fault wins
-    slot.quarantined = true;
+  if (slot.quarantined) return;
+  slot.quarantined = true;
+  if (!slot.input_failed) {  // first fault wins
     slot.quarantine_reason = std::move(reason);
     ctr_feeds_quarantined_->Inc();
-    slot.armed_deadline = SteadyClock::time_point::max();
-    live_order_dirty_ = true;
     FRT_LOG(Warning) << "service: quarantined feed '" << feed
                      << "': " << slot.quarantine_reason;
   }
-  if (!slot.session) return;
-  // Drop everything the fault may have tainted: the backlog never
-  // executes and the uncovered arrivals never close into a window. Spend
-  // already charged stays charged, same rule as every discard path.
-  backlog_windows_ -= slot.session->backlog_size();
-  slot.session->DropPending();
-  // A window already on the pool closed before the fault: it completes
-  // and publishes, and the session is torn down once it lands.
-  if (!slot.session->busy()) TearDownSession(&slot);
+  if (slot.session) {
+    // Tear the session down, keeping what it already did for the final
+    // report. The backlog is dropped (its windows never execute); spend
+    // already charged stays charged, same rule as every discard path. An
+    // in-flight job is self-contained and its completion is ignored.
+    backlog_windows_ -= slot.session->backlog_size();
+    TearDownSession(&slot);
+  }
+}
+
+void ServiceDispatcher::EndInputAtFault(const std::string& feed,
+                                        std::string reason) {
+  auto [it, inserted] = feeds_.try_emplace(feed);
+  FeedSlot& slot = it->second;
+  if (inserted) feed_order_.push_back(feed);
+  if (slot.quarantined || slot.input_failed) return;  // first fault wins
+  slot.input_failed = true;
+  slot.quarantine_reason = std::move(reason);
+  ctr_feeds_quarantined_->Inc();
+  FRT_LOG(Warning) << "service: input of feed '" << feed
+                   << "' failed: " << slot.quarantine_reason
+                   << " (windows closed before the fault still publish)";
+  // Every window that closed before the fault is a pure function of the
+  // input read so far, so it stays in the backlog (or on the pool) and
+  // publishes. The arrivals after the last closed window never form one.
+  if (slot.session) slot.session->DropBuffered();
 }
 
 void ServiceDispatcher::TearDownSession(FeedSlot* slot) {
@@ -431,14 +459,14 @@ void ServiceDispatcher::SubmitReady() {
     FeedSlot& slot = feeds_.at(name);
     if (!slot.session || slot.quarantined) continue;  // died mid-scan
     const size_t backlog_before = slot.session->backlog_size();
+    const size_t refused_before = slot.session->report().windows_refused;
     std::optional<WindowJob> job = slot.session->NextSubmittable();
-    // Admission refusals and the submission both shrink the backlog; the
-    // running counter absorbs whatever NextSubmittable consumed.
-    const size_t consumed = backlog_before - slot.session->backlog_size();
-    backlog_windows_ -= consumed;
-    // Whatever NextSubmittable consumed beyond the granted job (if any)
-    // was refused by budget admission.
-    if (const size_t refused = consumed - (job.has_value() ? 1 : 0);
+    // Admission refusals, a stop_when_exhausted drop and the submission
+    // all shrink the backlog; the running counter absorbs whatever
+    // NextSubmittable consumed.
+    backlog_windows_ -= backlog_before - slot.session->backlog_size();
+    if (const size_t refused =
+            slot.session->report().windows_refused - refused_before;
         refused > 0) {
       ctr_windows_refused_->Inc(refused);
     }
@@ -503,7 +531,12 @@ void ServiceDispatcher::AbsorbCompletion(
     std::unique_ptr<Completion> completion) {
   --in_flight_;
   FeedSlot& slot = feeds_.at(completion->job.feed);
-  // A busy session is never torn down (see QuarantineFeed).
+  if (!slot.session) {
+    // The feed was quarantined while this job was in flight; the session
+    // is gone and the result is discarded (spend already merged into the
+    // slot's carry at teardown).
+    return;
+  }
   FeedSession& session = *slot.session;
   if (aborted_) {
     session.Abandon();
@@ -580,7 +613,7 @@ void ServiceDispatcher::FlushPublishes() {
     if (aborted_) break;
     FeedSlot& slot = feeds_.at(pending.feed);
     if (!slot.session) {
-      // Torn down after the window completed but before this flush: the
+      // Quarantined after the window completed but before this flush: the
       // output is discarded (its spend stays charged and checkpointed).
       continue;
     }
@@ -601,10 +634,7 @@ void ServiceDispatcher::FlushPublishes() {
     ctr_windows_published_->Inc();
     ctr_trajectories_published_->Inc(pending.report.trajectories);
     slot.session->RecordPublished(pending.report);
-    if (slot.quarantined) {
-      TearDownSession(&slot);  // its last in-flight window is out
-    } else if (slot.session->evict_when_drained() &&
-               slot.session->Drained()) {
+    if (slot.session->evict_when_drained() && slot.session->Drained()) {
       EvictSession(&slot);
     }
   }
@@ -703,7 +733,7 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
     size_t trajectories_in = slot.merged.trajectories_in;
     size_t trajectories_published = slot.merged.trajectories_published;
     double epsilon_spent = slot.merged.epsilon_spent;
-    if (slot.quarantined) ++s.feeds_quarantined;
+    if (slot.faulted()) ++s.feeds_quarantined;
     if (slot.session) {
       const StreamReport& live = slot.session->report();
       windows_closed += live.windows_closed;
@@ -742,7 +772,7 @@ void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
     feed.windows_published = windows_published;
     feed.windows_refused = windows_refused;
     feed.backlog = slot.session ? slot.session->backlog_size() : 0;
-    feed.quarantined = slot.quarantined;
+    feed.quarantined = slot.faulted();
     feed.quarantine_reason = slot.quarantine_reason;
     intro->feeds_detail.push_back(std::move(feed));
   }
@@ -812,9 +842,9 @@ void ServiceDispatcher::BuildFinalReport() {
     feed_report.feed = name;
     feed_report.sessions = slot.generations;
     feed_report.evicted = !slot.session && slot.ever_evicted;
-    feed_report.quarantined = slot.quarantined;
+    feed_report.quarantined = slot.faulted();
     feed_report.quarantine_reason = slot.quarantine_reason;
-    if (slot.quarantined) ++report_.feeds_quarantined;
+    if (slot.faulted()) ++report_.feeds_quarantined;
     feed_report.stream = slot.merged;
     if (slot.session) {
       MergeStreamReport(&feed_report.stream, slot.session->report(),
@@ -944,10 +974,16 @@ void ServiceDispatcher::DispatcherLoop() {
         // After an abort or a stop_when_exhausted trip the remaining
         // ingress is drained and discarded.
         if (!aborted_ && !stopping_) {
-          if (arrival.quarantine) {
-            QuarantineFeed(arrival.feed, std::move(arrival.reason));
-          } else {
-            Route(std::move(arrival), now);
+          switch (arrival.kind) {
+            case Arrival::Kind::kTrajectory:
+              Route(std::move(arrival), now);
+              break;
+            case Arrival::Kind::kQuarantine:
+              QuarantineFeed(arrival.feed, std::move(arrival.reason));
+              break;
+            case Arrival::Kind::kInputFault:
+              EndInputAtFault(arrival.feed, std::move(arrival.reason));
+              break;
           }
         }
         break;

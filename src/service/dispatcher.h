@@ -278,6 +278,16 @@ class ServiceDispatcher {
   /// false once the service is finishing or aborted.
   bool OfferQuarantine(std::string feed, std::string reason);
 
+  /// \brief Reports that `feed`'s input broke off at a malformed record
+  /// (a local reader's parse error). Every window that closed before the
+  /// fault still publishes; the arrivals after the last closed window are
+  /// dropped (never published as a trailing partial window, never
+  /// charged), further arrivals are refused, and the feed is reported as
+  /// quarantined with `reason`. Which windows publish depends only on the
+  /// input before the fault, never on how far the pool has got. Same
+  /// threading and ordering as OfferQuarantine.
+  bool OfferInputFault(std::string feed, std::string reason);
+
   /// \brief Closes ingress, drains every session (final partial windows
   /// included), waits for all in-flight jobs, and joins the dispatcher.
   /// Returns the first error the run hit (ingest routing, pipeline, sink,
@@ -289,7 +299,8 @@ class ServiceDispatcher {
 
   /// \brief The feed's session as Finish() left it; its accountants hold
   /// the feed's final ledgers. nullptr for a feed never seen, or whose
-  /// session was evicted or quarantined. Valid only after Finish().
+  /// session was evicted or quarantined (OfferQuarantine). Valid only
+  /// after Finish().
   const FeedSession* FinishedSession(const std::string& feed) const {
     const auto it = feeds_.find(feed);
     return finished_ && it != feeds_.end() ? it->second.session.get()
@@ -326,8 +337,9 @@ class ServiceDispatcher {
   struct Arrival {
     std::string feed;
     Trajectory trajectory;
-    /// OfferQuarantine marker: no trajectory, `reason` set instead.
-    bool quarantine = false;
+    /// Fault markers: no trajectory, `reason` set instead.
+    enum class Kind { kTrajectory, kQuarantine, kInputFault };
+    Kind kind = Kind::kTrajectory;
     std::string reason;
   };
   /// A feed's state across session generations (dispatcher thread only).
@@ -341,7 +353,13 @@ class ServiceDispatcher {
     /// The feed was declared untrustworthy: session gone, backlog
     /// dropped, arrivals refused. Never revived.
     bool quarantined = false;
+    /// The feed's input ended at a fault (OfferInputFault): arrivals
+    /// refused, windows closed before the fault still publish.
+    bool input_failed = false;
+    /// First fault of either kind.
     std::string quarantine_reason;
+    /// Reported as quarantined (FeedReport::quarantined).
+    bool faulted() const { return quarantined || input_failed; }
     /// Membership flag for live_order_ (lazy compaction).
     bool in_live_order = false;
     /// Earliest deadline currently pushed on the heap for this feed
@@ -403,12 +421,14 @@ class ServiceDispatcher {
   bool CloseSessionWindow(const std::string& feed, FeedSlot& slot,
                           WindowClose reason,
                           std::chrono::steady_clock::time_point now);
-  /// Declares `feed` untrustworthy: drops its backlog and uncovered
-  /// arrivals, marks the slot so arrivals and revivals are refused, and
-  /// tears its session down — at once, or when its in-flight window (which
-  /// closed before the fault) has published. Idempotent. Never touches
-  /// sibling feeds.
+  /// Declares `feed` untrustworthy: merges and tears down its session,
+  /// drops its backlog (an in-flight result is discarded when it lands),
+  /// marks the slot so arrivals and revivals are refused. Idempotent.
+  /// Never touches sibling feeds.
   void QuarantineFeed(const std::string& feed, std::string reason);
+  /// OfferInputFault on the dispatcher thread: drops the feed's buffered
+  /// arrivals and refuses further ones; its closed windows drain as usual.
+  void EndInputAtFault(const std::string& feed, std::string reason);
   /// Submits admissible backlog windows while in-flight capacity lasts.
   void SubmitReady();
   /// Absorbs one finished job: charges budgets, samples latency, and

@@ -26,7 +26,7 @@ Status IngestFeedCsv(std::istream& in, const std::string& feed,
   for (;;) {
     Result<std::optional<Trajectory>> next = reader.Next();
     if (!next.ok()) {
-      service.OfferQuarantine(feed, next.status().ToString());
+      service.OfferInputFault(feed, next.status().ToString());
       return next.status();
     }
     if (!next->has_value()) return Status::OK();
@@ -68,7 +68,7 @@ Status IngestMultiFeedCsv(std::istream& in, ServiceDispatcher& service) {
   // The whole input is one stream: a malformed line cuts off every feed
   // it carried, and their buffered partial trajectories are dropped.
   const auto fail = [&](Status st) {
-    for (const auto& feed : order) service.OfferQuarantine(feed, st.ToString());
+    for (const auto& feed : order) service.OfferInputFault(feed, st.ToString());
     return st;
   };
   std::string line;

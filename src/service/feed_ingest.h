@@ -7,11 +7,12 @@
 //   IngestMultiFeedCsv  the interleaved `feed,traj_id,x,y,t` format
 //                       (--feeds), trajectories contiguous per feed
 //
-// A parse error is a per-feed fault: the reader quarantines the feeds its
-// input delivered (ServiceDispatcher::OfferQuarantine) before returning
-// the error, so nothing read ahead of the bad line is published as a
-// trailing partial window or charged to a budget. Windows already closed
-// and running on the pool still publish. Readers stop quietly when the
+// A parse error is a per-feed fault: the reader ends the input of the
+// feeds it delivered (ServiceDispatcher::OfferInputFault) before returning
+// the error. Every window that closed by count before the bad line still
+// publishes; the arrivals read after the last closed window are dropped,
+// never published as a trailing partial window or charged to a budget;
+// the feed is reported as quarantined. Readers stop quietly when the
 // service refuses further arrivals (abort or stop_when_exhausted).
 //
 // frt_stream is the service with exactly one feed, kSingleFeed; the
@@ -36,7 +37,8 @@ namespace frt {
 std::string FeedNameFromPath(const std::string& path);
 
 /// \brief Streams one dataset CSV into `service` as feed `feed`. On a
-/// parse error the feed is quarantined and the error returned.
+/// parse error the feed's input ends at the fault (see above) and the
+/// error is returned.
 Status IngestFeedCsv(std::istream& in, const std::string& feed,
                      ServiceDispatcher& service);
 
@@ -49,8 +51,8 @@ Status IngestFeedFiles(
 
 /// \brief Streams the interleaved multi-feed CSV (`feed,traj_id,x,y,t`).
 /// Per feed, consecutive same-id lines form one trajectory, so distinct
-/// feeds may interleave freely. On a parse error every feed the input
-/// delivered is quarantined and the error returned.
+/// feeds may interleave freely. On a parse error the input of every feed
+/// it delivered ends at the fault and the error is returned.
 Status IngestMultiFeedCsv(std::istream& in, ServiceDispatcher& service);
 
 /// The one feed of the single-feed service. Its --state-dir snapshots name
@@ -61,10 +63,11 @@ inline constexpr char kSingleFeed[] = "stream";
 /// \brief Service config of the single-feed service: `stream` on a pool of
 /// `pool_threads` workers (0 = the service default), with at most one
 /// closed window waiting behind the running one. Ingress then pauses
-/// while a window runs, the way a synchronous window loop would: memory
-/// stays bounded by the arrival queue, every window closed before a parse
-/// error is already running when the error lands (and publishes), and
-/// stop_when_exhausted ends the run at the first refused window.
+/// while a window runs, the way a synchronous window loop reads: the
+/// reader stays at most one window plus the arrival queue ahead, so a
+/// stop_when_exhausted run stops reading right after the refused window.
+/// This bounds read-ahead only: the published windows are the same as
+/// `frt_serve --input stream=FILE` publishes, clean input or not.
 ServiceConfig SingleFeedServiceConfig(StreamConfig stream,
                                       unsigned pool_threads);
 

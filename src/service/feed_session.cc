@@ -104,6 +104,10 @@ std::optional<WindowJob> FeedSession::NextSubmittable() {
         &job.window, job.index, window_epsilon, config_.accounting,
         config_.evict_exhausted, accountant_, object_accountant_, &report_,
         &job.evicted, "feed " + feed_ + ": ");
+    // stop_when_exhausted ends the feed at its first refusal or eviction
+    // (the dispatcher then stops the service): windows that closed after
+    // it never run, however far ingress had read ahead.
+    if (config_.stop_when_exhausted && had_refusals()) backlog_.clear();
     if (!admitted) continue;
     busy_ = true;
     return job;

@@ -126,7 +126,8 @@ class FeedSession {
 
   /// \brief Pops the next backlog window that survives admission control,
   /// marking the session busy. Windows refused on budget are recorded and
-  /// skipped. Returns nullopt when the backlog drains (or the session is
+  /// skipped; under stop_when_exhausted the first refusal or eviction also
+  /// drops every later backlog window. Returns nullopt when the backlog drains (or the session is
   /// already busy — per-feed windows execute strictly one at a time, so
   /// admission always sees the predecessor's spend).
   std::optional<WindowJob> NextSubmittable();
@@ -150,10 +151,10 @@ class FeedSession {
   /// service).
   void Abandon() { busy_ = false; }
 
-  /// Discards the backlog and the uncovered arrivals (quarantine): nothing
-  /// buffered after the last submitted window is ever published.
-  void DropPending() {
-    backlog_.clear();
+  /// Discards the buffered arrivals (the feed's input failed): the
+  /// arrivals after the last closed window never form a window. The
+  /// backlog of closed windows is kept.
+  void DropBuffered() {
     assembler_ = WindowAssembler(config_.window_size, config_.window_stride);
   }
 

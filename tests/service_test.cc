@@ -514,7 +514,8 @@ TEST(ServiceTest, MultiFeedParseErrorQuarantinesEveryFeedOfTheInput) {
   EXPECT_EQ(report.feeds_quarantined, 2u);
   for (const FeedReport& feed : report.feeds_report) {
     EXPECT_TRUE(feed.quarantined) << feed.feed;
-    EXPECT_LE(feed.stream.windows_published, 2u) << feed.feed;
+    // Both count windows closed before the bad line, so both publish.
+    EXPECT_EQ(feed.stream.windows_published, 2u) << feed.feed;
   }
   for (const auto& [name, feed] : capture.feeds) {
     for (const WindowReport& w : feed.reports) {
@@ -522,6 +523,71 @@ TEST(ServiceTest, MultiFeedParseErrorQuarantinesEveryFeedOfTheInput) {
       EXPECT_EQ(w.trajectories, 5u) << name;
     }
   }
+}
+
+TEST(ServiceTest, InputFaultPublishesExactlyTheWindowsClosedBeforeIt) {
+  // 23 arrivals at window 5 close four count windows before the fault;
+  // with one job in flight at a time most of them are still in the
+  // backlog when the fault lands. All four publish — bit-identical to a
+  // clean run over the first 20 arrivals — and the 3 arrivals after the
+  // last closed window are neither published nor charged.
+  const std::vector<Trajectory> trajs = SyntheticTrajectories(23);
+  ServiceConfig config = SmallServiceConfig(5);
+  config.max_in_flight = 1;
+  ServiceCapture faulted;
+  ServiceDispatcher service(config, faulted.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  for (const Trajectory& t : trajs) ASSERT_TRUE(service.Offer("a", t));
+  ASSERT_TRUE(service.OfferInputFault("a", "line 24: bad record"));
+  ASSERT_TRUE(service.Offer("a", trajs.front()));  // refused, not routed
+  ASSERT_TRUE(service.Finish().ok());
+
+  ServiceCapture clean;
+  ServiceDispatcher reference(config, clean.MakeSink());
+  ASSERT_TRUE(reference.Start(kSeed).ok());
+  for (size_t i = 0; i < 20; ++i) ASSERT_TRUE(reference.Offer("a", trajs[i]));
+  ASSERT_TRUE(reference.Finish().ok());
+
+  const ServiceReport& report = service.report();
+  ASSERT_EQ(report.feeds_report.size(), 1u);
+  const FeedReport& feed = report.feeds_report[0];
+  EXPECT_TRUE(feed.quarantined);
+  EXPECT_EQ(feed.quarantine_reason, "line 24: bad record");
+  EXPECT_EQ(report.feeds_quarantined, 1u);
+  EXPECT_EQ(feed.stream.trajectories_in, 23u);
+  EXPECT_EQ(feed.stream.windows_published, 4u);
+  EXPECT_EQ(feed.stream.trajectories_published, 20u);
+  EXPECT_NEAR(feed.stream.epsilon_spent, 4.0, 1e-9);
+  for (const WindowReport& w : faulted.feeds["a"].reports) {
+    EXPECT_EQ(w.close_reason, WindowClose::kCount);
+  }
+  EXPECT_EQ(faulted.feeds["a"].window_ids, clean.feeds["a"].window_ids);
+  EXPECT_EQ(faulted.feeds["a"].points, clean.feeds["a"].points);
+}
+
+TEST(ServiceTest, StopWhenExhaustedDropsTheWindowsClosedAfterTheRefusal) {
+  // Wholesale budget 2.0: windows 0-1 publish, window 2 is refused. The
+  // arrival queue and backlog let ingress run far ahead, so windows 3-9
+  // may already have closed when window 2 is refused; they are dropped,
+  // never admitted (or refused), whatever the timing.
+  const std::vector<Trajectory> trajs = SyntheticTrajectories(100);
+  ServiceConfig config = SmallServiceConfig(10);
+  config.stream.accounting = BudgetAccounting::kWholesale;
+  config.stream.total_budget = 2.0;
+  config.stream.stop_when_exhausted = true;
+  config.arrival_queue_capacity = 100;
+  config.max_backlog_windows = 10;
+  ServiceCapture capture;
+  ServiceDispatcher service(config, capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  for (const Trajectory& t : trajs) {
+    if (!service.Offer("a", t)) break;
+  }
+  ASSERT_TRUE(service.Finish().ok());
+  const ServiceReport& report = service.report();
+  EXPECT_EQ(report.windows_published, 2u);
+  EXPECT_EQ(report.windows_refused, 1u);
+  EXPECT_EQ(capture.feeds["a"].ids.size(), 20u);
 }
 
 TEST(ServiceTest, SinkErrorAbortsService) {

@@ -175,7 +175,8 @@ TEST(StreamE2ETest, ParseErrorFailsRunWithoutPublishingPartialWindow) {
   // A malformed line mid-stream fails the run; the trailing partial window
   // assembled before the bad line must be neither published nor charged to
   // the ledger (complete windows closed earlier stay published). The
-  // reader quarantines the feed, which drops its uncovered arrivals.
+  // reader ends the feed's input at the fault, which drops its uncovered
+  // arrivals and reports the feed as quarantined.
   std::string csv = SyntheticCsv(150);
   csv += "151,not_a_number,2.0,3\n";
   std::istringstream in(csv);

@@ -85,21 +85,29 @@ TEST(WorkStealingPoolTest, MergedOutputIdenticalUnderAnyThreadCount) {
 TEST(WorkStealingPoolTest, SkewedTasksAreRebalanced) {
   // One task blocks until every other task is done: whichever worker picks
   // it up stalls, and the rest of that worker's queue can only complete if
-  // other workers steal it. Deadlocks (and times out) if stealing is
-  // broken; checked via completion, not timing, so it is load-independent.
+  // other workers steal it. The Run caller would drain that queue too, so
+  // it is held as well: the first index it claims blocks until every other
+  // index is done. Deadlocks (and times out) if worker stealing is broken;
+  // checked via completion, not timing, so it is load-independent.
   WorkStealingPool pool(4);
   const size_t n = 64;
   // Indices are dealt round-robin and owners pop LIFO, so the last index
   // dealt to worker 0 is the first task worker 0 executes.
   const size_t blocker = ((n - 1) / pool.num_workers()) * pool.num_workers();
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
   std::atomic<size_t> done{0};
+  const auto wait_for = [&done](size_t others) {
+    while (done.load(std::memory_order_acquire) < others) {
+      std::this_thread::yield();
+    }
+  };
   pool.Run(n, [&](size_t i) {
-    if (i == blocker) {
-      while (done.load(std::memory_order_acquire) < n - 1) {
-        std::this_thread::yield();
-      }
+    if (std::this_thread::get_id() == caller) {
+      wait_for(n - 1);  // everything but this index
+    } else if (i == blocker) {
+      wait_for(n - 2);  // everything but this index and the caller's
     }
     hits[i].fetch_add(1);
     done.fetch_add(1, std::memory_order_acq_rel);
@@ -155,6 +163,39 @@ TEST(WorkStealingPoolTest, ConcurrentRunsFromSeveralThreadsHitEverySlotOnce) {
   for (size_t k = 0; k < hits.size(); ++k) {
     EXPECT_EQ(hits[k].load(), 1) << "slot " << k;
   }
+}
+
+TEST(WorkStealingPoolTest, WorkersSurviveManyShortConcurrentRuns) {
+  // Run callers claim dealt indices outside the pool's wake-up lock, so a
+  // worker woken for an index often finds it already taken. It must go
+  // back to waiting, not exit: after a storm of short concurrent Runs,
+  // every worker is still there to take one Submit task each — tasks that
+  // only finish once all of them have started.
+  WorkStealingPool pool(4);
+  constexpr size_t kCallers = 3;
+  constexpr size_t kRounds = 2000;
+  std::atomic<size_t> total{0};
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t r = 0; r < kRounds; ++r) {
+        const size_t n = 2 + (c + r) % 2;
+        pool.Run(n, [&](size_t) { total.fetch_add(1); });
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(total.load(), kCallers * kRounds * 5 / 2);
+  const unsigned workers = pool.num_workers();
+  std::atomic<unsigned> started{0};
+  for (unsigned w = 0; w < workers; ++w) {
+    pool.Submit([&] {
+      started.fetch_add(1);
+      while (started.load() < workers) std::this_thread::yield();
+    });
+  }
+  pool.WaitIdle();
+  EXPECT_EQ(started.load(), workers);
 }
 
 Dataset SmallFleet(int taxis, uint64_t seed) {

@@ -31,7 +31,9 @@
 // The engine is the multi-feed service (service/dispatcher.h) with one
 // feed named "stream": its output is byte-identical to
 // `frt_serve --input stream=FILE --output-dir DIR` at the same flags and
-// seed. With --state-dir the budget ledger is checkpointed durably before
+// seed, malformed input included. Its reader pauses while a window runs
+// (one closed window of read-ahead), which bounds how much input is read,
+// never which windows publish. With --state-dir the budget ledger is checkpointed durably before
 // every published window leaves the process and recovered on the next
 // start (the conservative carry), so a crash or restart against the same
 // state dir never re-grants spent epsilon.
