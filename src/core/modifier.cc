@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "index/search_context.h"
 #include "obs/trace.h"
@@ -241,8 +240,9 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
   };
 
   // One pass over every trajectory's live nodes gathers the segment
-  // entries for the bulk build, the per-(key, trajectory) occurrence
-  // lists, and the TrajId -> slot mapping for result handling.
+  // entries for the bulk build and the per-(key, trajectory) occurrence
+  // lists. A segment handle carries its trajectory's slot in the high 32
+  // bits, so results map back to slots without a lookup.
   std::vector<SegmentEntry> entries;
   size_t total_points = 0;
   for (const EditableTrajectory& et : *trajs) total_points += et.NumPoints();
@@ -251,11 +251,8 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
                      std::unordered_map<size_t, std::vector<NodeHandle>>>
       occurrences;
   occurrences.reserve(delta.size());
-  std::unordered_map<TrajId, size_t> slot_of;
-  slot_of.reserve(trajs->size());
   for (size_t i = 0; i < trajs->size(); ++i) {
     EditableTrajectory& et = (*trajs)[i];
-    slot_of[et.id()] = i;
     for (const NodeHandle n : et.LiveNodes()) {
       if (et.IsSegmentStart(n)) {
         entries.push_back(
@@ -304,23 +301,23 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
   // Phase 2: TF increases — insert the point once into each of the Delta_l
   // nearest trajectories that do not currently contain it (Def. 8).
   SearchContext ctx;  // reused across every search of this batch
+  // Slot-indexed "already contains the key" marks, set and cleared per key.
+  std::vector<char> occupied(trajs->size(), 0);
+  const auto eligible = [&occupied](const SegmentEntry& e) {
+    return occupied[e.handle >> 32] == 0;
+  };
+  SearchOptions options;
+  options.group_by = GroupBy::kTrajectory;
+  options.filter = eligible;
   for (const LocationKey key : keys.pos) {
-    const int64_t want = delta.at(key);
+    options.k = static_cast<size_t>(delta.at(key));
     const Point q = quantizer_->PointOf(key);
-    std::unordered_set<TrajId> occupied;
     auto oit = occurrences.find(key);
     if (oit != occurrences.end()) {
       for (const auto& [slot, nodes] : oit->second) {
-        if (!nodes.empty()) occupied.insert((*trajs)[slot].id());
+        if (!nodes.empty()) occupied[slot] = 1;
       }
     }
-    const auto eligible = [&occupied](const SegmentEntry& e) {
-      return occupied.count(e.traj) == 0;
-    };
-    SearchOptions options;
-    options.k = static_cast<size_t>(want);
-    options.group_by = GroupBy::kTrajectory;
-    options.filter = eligible;
     // Sampled 1-in-64, matching the intra-trajectory phase.
     const bool traced =
         obs::TraceEnabled() && (stats->knn_searches & 63) == 0;
@@ -333,7 +330,7 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
     }
     ++stats->knn_searches;
     for (const Neighbor& nb : neighbors) {
-      const size_t slot = slot_of.at(nb.entry.traj);
+      const size_t slot = static_cast<size_t>(nb.entry.handle >> 32);
       const NodeHandle left =
           static_cast<NodeHandle>(static_cast<uint32_t>(nb.entry.handle));
       EditableTrajectory& et = (*trajs)[slot];
@@ -341,6 +338,9 @@ Status InterTrajectoryModifier::Apply(std::vector<EditableTrajectory>* trajs,
       InsertPointSync(&et, left, q, index.get(), per_handle);
       stats->utility_loss += nb.dist;
       ++stats->insertions;
+    }
+    if (oit != occurrences.end()) {
+      for (const auto& [slot, nodes] : oit->second) occupied[slot] = 0;
     }
   }
 

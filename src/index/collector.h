@@ -73,17 +73,6 @@ class ResultCollector {
     }
   }
 
-  /// Consumes one batched-kernel output: entries [0, n) of `entries` with
-  /// their squared distances in `dist2` (the lane buffer of a
-  /// PointSegmentDistance2Batch sweep). Offer order is ascending index, so
-  /// tie behaviour matches the scalar per-entry loop exactly. Only valid
-  /// when no filter applies (filtered searches interleave the filter with
-  /// per-entry Offers).
-  void OfferBatch(const SegmentEntry* entries, const double* dist2,
-                  size_t n) {
-    for (size_t i = 0; i < n; ++i) Offer(entries[i], dist2[i]);
-  }
-
   /// True when K results are held (threshold is meaningful).
   bool Full() const {
     return group_by_ == GroupBy::kSegment ? heap_.size() >= k_

@@ -201,37 +201,35 @@ uint64_t HierarchicalGridIndex::SweepCell(const HgCell& cell, const Point& q,
   const size_t n = segs.size();
   if (n == 0) return 0;
 
+  // theta_K² gate (Theorem 4 applied per candidate): a segment strictly
+  // farther than the current K-th best can neither enter the final K nor
+  // move the threshold, in either GroupBy mode, so it skips the filter
+  // and the collector. Ties at theta still pass. The threshold is read
+  // once per cell; it only tightens while the cell is swept, so the stale
+  // value is merely looser. The comparison is between kernel outputs, so
+  // the batched and scalar paths gate identically.
+  const double theta2 = ctx->collector.Threshold2();
+  const auto offer = [&](const SegmentEntry& e, double d2) {
+    if (d2 > theta2) return;
+    if (options.filter && !options.filter(e)) return;
+    ctx->collector.Offer(e, d2);
+  };
+
   if (options.use_batched_kernel) {
     // One kernel sweep over the cell's SoA blocks, then offer in entry
     // order — the same order (and the same doubles) as the scalar loop.
-    // Filtered-out lanes have their distances computed (the sweep is
-    // branch-free) but are neither offered nor counted, matching the
-    // scalar path's distance_evaluations exactly.
     double* d2 = ctx->Dist2Lanes(n);
     for (size_t b = 0; b < cell.geom.num_blocks(); ++b) {
       PointSegmentDistance2Batch(q, cell.geom.block(b),
                                  d2 + b * kDistLanes);
     }
-    if (!options.filter) {
-      ctx->collector.OfferBatch(segs.data(), d2, n);
-      return n;
+    for (size_t i = 0; i < n; ++i) offer(segs[i], d2[i]);
+  } else {
+    for (const SegmentEntry& e : segs) {
+      offer(e, PointSegmentDistance2(q, e.geom));
     }
-    uint64_t evals = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (!options.filter(segs[i])) continue;
-      ++evals;
-      ctx->collector.Offer(segs[i], d2[i]);
-    }
-    return evals;
   }
-
-  uint64_t evals = 0;
-  for (const SegmentEntry& e : segs) {
-    if (options.filter && !options.filter(e)) continue;
-    ++evals;
-    ctx->collector.Offer(e, PointSegmentDistance2(q, e.geom));
-  }
-  return evals;
+  return n;
 }
 
 Span<const Neighbor> HierarchicalGridIndex::KNearest(

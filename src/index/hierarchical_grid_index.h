@@ -135,10 +135,11 @@ class HierarchicalGridIndex : public SegmentIndex {
   /// (Algorithm 3 line 1, LocatePoint).
   uint32_t LocateStart(const Point& q) const;
 
-  /// Evaluates every resident of `cell` against q and offers the eligible
-  /// ones to the collector, via the batched SoA kernel or the scalar
-  /// reference path per `options`. Returns the eligible-candidate count
-  /// (the distance_evaluations contribution).
+  /// Evaluates every resident of `cell` against q, via the batched SoA
+  /// kernel or the scalar reference path per `options`, and offers the
+  /// eligible ones within theta_K to the collector. Returns the number of
+  /// distances computed, i.e. the cell's size (the distance_evaluations
+  /// contribution).
   uint64_t SweepCell(const HgCell& cell, const Point& q,
                      const SearchOptions& options, SearchContext* ctx) const;
 

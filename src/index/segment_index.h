@@ -142,8 +142,13 @@ class SegmentIndex {
   /// Number of live segments.
   virtual size_t size() const = 0;
 
-  /// Number of exact point-segment distance evaluations since construction
-  /// (pruning-effectiveness counter; used by tests and bench diagnostics).
+  /// Number of exact point-segment distances the kernel computed since
+  /// construction (pruning-effectiveness counter; used by tests and bench
+  /// diagnostics). It measures kernel work, not candidates offered: the
+  /// hierarchical grid computes every resident of a swept cell, counts
+  /// them all, and only then applies the theta_K gate and the filter; the
+  /// linear and uniform-grid competitors apply the filter first and count
+  /// only the distances they go on to compute.
   virtual uint64_t distance_evaluations() const = 0;
 };
 

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <ostream>
 #include <unordered_set>
 
+#include "common/rng.h"
 #include "core/modifier.h"
+#include "synth/workload.h"
 #include "traj/quantizer.h"
 
 namespace frt {
@@ -278,6 +283,149 @@ INSTANTIATE_TEST_SUITE_P(
                       SearchStrategy::kBottomUpDown),
     [](const ::testing::TestParamInfo<SearchStrategy>& info) {
       std::string name(SearchStrategyName(info.param));
+      for (char& c : name) {
+        if (c == '+') c = 'P';
+      }
+      return name;
+    });
+
+// ---------------- golden output ----------------
+
+// The distance-only checks above cannot see which of several equidistant
+// segments received an insertion. This pins the published points of a
+// global-then-local modification run bit for bit. The fleet is generated
+// on a road network without GPS noise, so trajectories share exact road
+// vertices and the kNN searches meet exact distance ties.
+
+uint64_t Fnv1a(uint64_t h, uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+uint64_t DigestOf(const std::vector<EditableTrajectory>& trajs) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const EditableTrajectory& et : trajs) {
+    const Trajectory t = et.Materialize();
+    h = Fnv1a(h, static_cast<uint64_t>(t.id()));
+    h = Fnv1a(h, t.size());
+    for (const TimedPoint& tp : t.points()) {
+      uint64_t x = 0;
+      uint64_t y = 0;
+      std::memcpy(&x, &tp.p.x, sizeof(x));
+      std::memcpy(&y, &tp.p.y, sizeof(y));
+      h = Fnv1a(Fnv1a(Fnv1a(h, x), y), static_cast<uint64_t>(tp.t));
+    }
+  }
+  return h;
+}
+
+std::vector<LocationKey> SortedKeys(
+    const std::unordered_map<LocationKey, int64_t>& freq) {
+  std::vector<LocationKey> keys;
+  keys.reserve(freq.size());
+  for (const auto& [key, f] : freq) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+struct GoldenCase {
+  SearchStrategy strategy;
+  uint64_t digest;
+};
+
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << SearchStrategyName(c.strategy);
+}
+
+class GoldenModifierTest : public ::testing::TestWithParam<GoldenCase> {};
+
+TEST_P(GoldenModifierTest, GlobalThenLocalOutputIsPinned) {
+  WorkloadConfig workload_config;
+  workload_config.num_taxis = 60;
+  workload_config.target_points = 80;
+  workload_config.drive_noise = 0.0;
+  workload_config.dwell_noise = 0.0;
+  RoadGenConfig road_config;
+  road_config.cols = 12;
+  road_config.rows = 12;
+  auto workload = GenerateTaxiWorkload(workload_config, road_config, 1313);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  const Dataset& dataset = workload->dataset;
+
+  Quantizer quantizer(dataset.Bounds(), 11);
+  quantizer.RegisterDataset(dataset);
+  BBox region = dataset.Bounds();
+  region.min_x -= 10.0;
+  region.min_y -= 10.0;
+  region.max_x += 10.0;
+  region.max_y += 10.0;
+  const GridSpec grid(region, 10);
+
+  std::vector<EditableTrajectory> trajs;
+  for (const Trajectory& t : dataset.trajectories()) trajs.emplace_back(t);
+
+  // Global stage: a deterministic TF delta over every location, clamped
+  // to [0, |D|].
+  Rng rng(99);
+  const TrajectoryFrequency tf =
+      ComputeTrajectoryFrequency(dataset, quantizer);
+  const std::vector<LocationKey> tf_keys = SortedKeys(tf);
+  const int64_t n = static_cast<int64_t>(dataset.size());
+  FrequencyDelta global_delta;
+  for (const LocationKey key : tf_keys) {
+    const int64_t l = tf.at(key);
+    const int64_t target =
+        std::clamp<int64_t>(l + rng.UniformInt(-2, 4), 0, n);
+    if (target != l) global_delta[key] = target - l;
+  }
+  ModifierStats global_stats;
+  InterTrajectoryModifier inter(&quantizer, GetParam().strategy, grid);
+  ASSERT_TRUE(inter.Apply(&trajs, global_delta, &global_stats).ok());
+  EXPECT_GT(global_stats.insertions, 0u);
+  EXPECT_GT(global_stats.deletions, 0u);
+
+  // Local stage: per trajectory, perturb a few of its own locations and
+  // add a few foreign ones.
+  ModifierStats local_stats;
+  IntraTrajectoryModifier intra(&quantizer, GetParam().strategy);
+  for (EditableTrajectory& et : trajs) {
+    const PointFrequency pf =
+        ComputePointFrequency(et.Materialize(), quantizer);
+    const std::vector<LocationKey> own = SortedKeys(pf);
+    FrequencyDelta delta;
+    for (int i = 0; i < 4 && !own.empty(); ++i) {
+      const LocationKey key = own[rng.UniformInt(uint64_t{own.size()})];
+      delta[key] = std::max<int64_t>(pf.at(key) + rng.UniformInt(-2, 3), 0) -
+                   pf.at(key);
+    }
+    for (int i = 0; i < 2; ++i) {
+      const LocationKey key =
+          tf_keys[rng.UniformInt(uint64_t{tf_keys.size()})];
+      if (pf.count(key) == 0) delta[key] = rng.UniformInt(1, 3);
+    }
+    for (auto it = delta.begin(); it != delta.end();) {
+      it = it->second == 0 ? delta.erase(it) : std::next(it);
+    }
+    ASSERT_TRUE(intra.Apply(&et, delta, &local_stats).ok());
+  }
+  EXPECT_GT(local_stats.insertions, 0u);
+  EXPECT_GT(local_stats.deletions, 0u);
+
+  EXPECT_EQ(DigestOf(trajs), GetParam().digest)
+      << std::hex << "0x" << DigestOf(trajs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    HgSearch, GoldenModifierTest,
+    ::testing::Values(GoldenCase{SearchStrategy::kBottomUpDown,
+                                 0x884cfbd14fcb2d78ULL},
+                      GoldenCase{SearchStrategy::kTopDown,
+                                 0xd61e6c370d04d47aULL}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      std::string name(SearchStrategyName(info.param.strategy));
       for (char& c : name) {
         if (c == '+') c = 'P';
       }

@@ -115,6 +115,21 @@ TEST_F(TraceTest, LongNamesAndFeedsTruncateSafely) {
   EXPECT_EQ(dump.events[0].feed, std::string(15, 'f'));
 }
 
+TEST_F(TraceTest, EmptyNameAndFeedRecordEmptyFields) {
+  // A default-constructed string_view carries a null data pointer; the
+  // recorder must not hand it to memcpy (UBSan rejects that even for a
+  // zero-byte copy).
+  ASSERT_TRUE(TraceRecorder::Get().Start({64}));
+  const Clock::time_point t0 = Clock::now();
+  EmitSpan(nullptr, SpanCategory::kIndex, std::string_view(), t0,
+           t0 + std::chrono::microseconds(1));
+  const TraceDump dump = TraceRecorder::Get().Stop();
+  ASSERT_EQ(dump.events.size(), 1u);
+  EXPECT_TRUE(dump.events[0].name.empty());
+  EXPECT_TRUE(dump.events[0].feed.empty());
+  EXPECT_EQ(dump.events[0].category, SpanCategory::kIndex);
+}
+
 TEST_F(TraceTest, ThreadNamesAndTidsSurviveDrain) {
   ASSERT_TRUE(TraceRecorder::Get().Start({256}));
   SetTraceThreadName("main-thread");
