@@ -567,7 +567,7 @@ void BM_ServeAdminScrapeOverhead(benchmark::State& state) {
     frt::ServiceConfig config = BaseConfig();
     config.stream.window_size = 100;
     config.stream.batch.pipeline.m = 5;
-    config.metrics_interval_ms = 100;  // live introspection board ticks
+    config.metrics_interval_ms = 100;  // live snapshot board ticks
     frt::ServiceDispatcher service(config, CountingSink(published));
 
     std::unique_ptr<frt::obs::AdminServer> admin;
@@ -588,7 +588,7 @@ void BM_ServeAdminScrapeOverhead(benchmark::State& state) {
           [service_ptr](const frt::obs::HttpRequest&) {
             frt::obs::HttpResponse response;
             response.content_type = "application/json";
-            const auto intro = service_ptr->Introspect();
+            const auto intro = service_ptr->snapshots().Read();
             if (intro == nullptr) {
               response.status = 503;
               response.body = "{\"error\":\"starting\"}\n";

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "traj/io.h"
+
 namespace frt::net {
 
 namespace {
@@ -198,8 +200,8 @@ Result<FeedTrajectory> DecodeTrajectoryPayload(std::string_view payload) {
   if (!r.ReadU16(&feed_len) || !r.ReadBytes(&out.feed, feed_len)) {
     return Status::InvalidArgument("truncated trajectory frame (feed id)");
   }
-  if (out.feed.empty()) {
-    return Status::InvalidArgument("trajectory frame with empty feed id");
+  if (Status st = ValidateFeedId(out.feed); !st.ok()) {
+    return Status::InvalidArgument("trajectory frame: " + st.message());
   }
   int64_t id = 0;
   uint32_t points = 0;

@@ -106,11 +106,12 @@ Status VerifyFramePayload(const FrameHeader& header,
 std::string EncodeTrajectoryPayload(std::string_view feed,
                                     const Trajectory& trajectory);
 
-/// \brief Strictly decodes a kTrajectory payload: truncation, an empty
-/// feed id, a point count that disagrees with the payload length, or
-/// trailing bytes are InvalidArgument. The stream itself stays aligned
-/// (the CRC already passed), so the caller quarantines only the feed —
-/// when the feed id is decodable, it is reported in the error message.
+/// \brief Strictly decodes a kTrajectory payload: truncation, a feed id
+/// that fails ValidateFeedId (traj/io.h), a point count that disagrees
+/// with the payload length, or trailing bytes are InvalidArgument. The
+/// stream itself stays aligned (the CRC already passed), so the caller
+/// quarantines only the feed — when the feed id is decodable and valid,
+/// it is reported in the error message.
 Result<FeedTrajectory> DecodeTrajectoryPayload(std::string_view payload);
 
 }  // namespace frt::net

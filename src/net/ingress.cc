@@ -11,20 +11,24 @@
 #include "common/logging.h"
 #include "net/frame.h"
 #include "obs/trace.h"
+#include "traj/io.h"
 
 namespace frt::net {
 
 namespace {
 
 /// Best-effort extraction of the feed id from a kTrajectory payload whose
-/// full decode failed: if the id itself is readable the fault can be
-/// pinned on that feed; otherwise it degrades to a connection-level fault.
+/// full decode failed: if the id itself is readable and valid the fault
+/// can be pinned on that feed; otherwise ("" — an invalid id never names
+/// a feed) it degrades to a connection-level fault.
 std::string PeekFeedId(std::string_view payload) {
   if (payload.size() < 2) return {};
   const auto* p = reinterpret_cast<const unsigned char*>(payload.data());
   const size_t len = static_cast<size_t>(p[0]) | (static_cast<size_t>(p[1]) << 8);
-  if (len == 0 || payload.size() < 2 + len) return {};
-  return std::string(payload.substr(2, len));
+  if (payload.size() < 2 + len) return {};
+  const std::string_view feed = payload.substr(2, len);
+  if (!ValidateFeedId(feed).ok()) return {};
+  return std::string(feed);
 }
 
 }  // namespace

@@ -24,9 +24,10 @@ constexpr std::chrono::milliseconds kCompletionPoll(1);
 /// Folds one session generation's report into a feed's running totals.
 /// Counters sum; epsilon fields take the newer generation's values (its
 /// accountants were preloaded with the predecessors' spend, so they are
-/// already cumulative); the bounded window history appends.
+/// already cumulative); with `with_windows` the bounded window history
+/// appends.
 void MergeStreamReport(StreamReport* into, const StreamReport& from,
-                       size_t max_window_reports) {
+                       bool with_windows, size_t max_window_reports) {
   into->windows_closed += from.windows_closed;
   into->windows_published += from.windows_published;
   into->windows_refused += from.windows_refused;
@@ -37,6 +38,7 @@ void MergeStreamReport(StreamReport* into, const StreamReport& from,
   into->trajectories_evicted += from.trajectories_evicted;
   into->epsilon_spent = from.epsilon_spent;
   into->epsilon_wholesale_equivalent = from.epsilon_wholesale_equivalent;
+  if (!with_windows) return;
   into->windows.insert(into->windows.end(), from.windows.begin(),
                        from.windows.end());
   if (max_window_reports > 0 && into->windows.size() > max_window_reports) {
@@ -45,6 +47,67 @@ void MergeStreamReport(StreamReport* into, const StreamReport& from,
                             static_cast<ptrdiff_t>(max_window_reports));
   }
 }
+
+/// The frt_serve_* counters, each the registry mirror of one cumulative
+/// snapshot field.
+struct CounterSeries {
+  const char* name;
+  const char* help;
+  size_t ServiceCounters::*field;
+};
+constexpr CounterSeries kCounterSeries[] = {
+    {"frt_serve_sessions_created_total",
+     "Feed sessions opened (all generations)",
+     &ServiceCounters::sessions_created},
+    {"frt_serve_sessions_evicted_total", "Feed sessions idle-evicted",
+     &ServiceCounters::sessions_evicted},
+    {"frt_serve_windows_closed_total",
+     "Windows closed (count, deadline, or final)",
+     &ServiceCounters::windows_closed},
+    {"frt_serve_windows_published_total",
+     "Windows anonymized and handed to the sink",
+     &ServiceCounters::windows_published},
+    {"frt_serve_windows_refused_total",
+     "Windows refused by budget admission",
+     &ServiceCounters::windows_refused},
+    {"frt_serve_windows_deadline_closed_total",
+     "Windows closed by the close-after-ms deadline",
+     &ServiceCounters::windows_deadline_closed},
+    {"frt_serve_trajectories_in_total", "Trajectories routed into sessions",
+     &ServiceCounters::trajectories_in},
+    {"frt_serve_trajectories_published_total",
+     "Trajectories in published windows",
+     &ServiceCounters::trajectories_published},
+    {"frt_serve_feeds_quarantined_total",
+     "Feeds quarantined by per-feed faults",
+     &ServiceCounters::feeds_quarantined},
+    {"frt_serve_checkpoints_written_total",
+     "Durable ledger snapshots written",
+     &ServiceCounters::checkpoints_written},
+    {"frt_serve_checkpoint_errors_total", "Failed ledger snapshot writes",
+     &ServiceCounters::checkpoint_errors},
+};
+
+/// The frt_serve_* gauges: point-in-time snapshot fields.
+struct GaugeSeries {
+  const char* name;
+  const char* help;
+  double (*value)(const ServiceSnapshot&);
+};
+constexpr GaugeSeries kGaugeSeries[] = {
+    {"frt_serve_active_sessions", "Feed sessions currently live",
+     [](const ServiceSnapshot& s) { return double(s.active_sessions); }},
+    {"frt_serve_queue_depth", "Arrival queue occupancy",
+     [](const ServiceSnapshot& s) { return double(s.queue_depth); }},
+    {"frt_serve_backlog_windows", "Closed-but-unsubmitted windows",
+     [](const ServiceSnapshot& s) { return double(s.backlog_windows); }},
+    {"frt_serve_in_flight", "Window jobs on the pool",
+     [](const ServiceSnapshot& s) { return double(s.in_flight); }},
+    {"frt_serve_feeds", "Feeds ever seen",
+     [](const ServiceSnapshot& s) { return double(s.feeds); }},
+    {"frt_serve_eps_spent_max", "Largest per-feed epsilon spent so far",
+     [](const ServiceSnapshot& s) { return s.epsilon_spent_max; }},
+};
 
 }  // namespace
 
@@ -77,40 +140,12 @@ ServiceDispatcher::ServiceDispatcher(ServiceConfig config, ServiceSink sink)
   metrics_interval_ms_.store(std::max<int64_t>(config_.metrics_interval_ms, 1),
                              std::memory_order_relaxed);
   obs::Registry& reg = *config_.registry;
-  ctr_sessions_created_ = reg.GetCounter(
-      "frt_serve_sessions_created_total", "Feed sessions opened (all generations)");
-  ctr_sessions_evicted_ = reg.GetCounter(
-      "frt_serve_sessions_evicted_total", "Feed sessions idle-evicted");
-  ctr_windows_closed_ = reg.GetCounter(
-      "frt_serve_windows_closed_total", "Windows closed (count, deadline, or final)");
-  ctr_windows_published_ = reg.GetCounter(
-      "frt_serve_windows_published_total", "Windows anonymized and handed to the sink");
-  ctr_windows_refused_ = reg.GetCounter(
-      "frt_serve_windows_refused_total", "Windows refused by budget admission");
-  ctr_windows_deadline_closed_ = reg.GetCounter(
-      "frt_serve_windows_deadline_closed_total",
-      "Windows closed by the close-after-ms deadline");
-  ctr_trajectories_in_ = reg.GetCounter(
-      "frt_serve_trajectories_in_total", "Trajectories routed into sessions");
-  ctr_trajectories_published_ = reg.GetCounter(
-      "frt_serve_trajectories_published_total", "Trajectories in published windows");
-  ctr_feeds_quarantined_ = reg.GetCounter(
-      "frt_serve_feeds_quarantined_total", "Feeds quarantined by per-feed faults");
-  ctr_checkpoints_written_ = reg.GetCounter(
-      "frt_serve_checkpoints_written_total", "Durable ledger snapshots written");
-  ctr_checkpoint_errors_ = reg.GetCounter(
-      "frt_serve_checkpoint_errors_total", "Failed ledger snapshot writes");
-  g_active_sessions_ = reg.GetGauge(
-      "frt_serve_active_sessions", "Feed sessions currently live");
-  g_queue_depth_ = reg.GetGauge(
-      "frt_serve_queue_depth", "Arrival queue occupancy");
-  g_backlog_windows_ = reg.GetGauge(
-      "frt_serve_backlog_windows", "Closed-but-unsubmitted windows");
-  g_in_flight_ = reg.GetGauge(
-      "frt_serve_in_flight", "Window jobs on the pool");
-  g_feeds_ = reg.GetGauge("frt_serve_feeds", "Feeds ever seen");
-  g_eps_spent_max_ = reg.GetGauge(
-      "frt_serve_eps_spent_max", "Largest per-feed epsilon spent so far");
+  for (const CounterSeries& series : kCounterSeries) {
+    counters_.push_back(reg.GetCounter(series.name, series.help));
+  }
+  for (const GaugeSeries& series : kGaugeSeries) {
+    gauges_.push_back(reg.GetGauge(series.name, series.help));
+  }
   const auto stage_cell = [&reg](std::string_view stage) {
     return reg.GetHistogram(
         obs::WithLabel("frt_stage_ms", "stage", stage),
@@ -249,8 +284,7 @@ void ServiceDispatcher::Route(Arrival&& arrival,
     // Generation bumps must be durable (a successor session's RNG stream
     // derives from them); an interval snapshot picks this up.
     ledger_dirty_ = true;
-    ++report_.sessions_created;
-    ctr_sessions_created_->Inc();
+    ++events_.sessions_created;
     ++active_sessions_;
     report_.peak_active_sessions =
         std::max(report_.peak_active_sessions, active_sessions_);
@@ -262,7 +296,6 @@ void ServiceDispatcher::Route(Arrival&& arrival,
   const std::string feed = arrival.feed;
   slot.session->set_evict_when_drained(false);  // the feed is live again
   slot.session->Offer(std::move(arrival.trajectory), now);
-  ctr_trajectories_in_->Inc();
   while (slot.session && slot.session->WindowReady()) {
     if (!CloseSessionWindow(feed, slot, WindowClose::kCount, now)) return;
   }
@@ -344,8 +377,6 @@ bool ServiceDispatcher::CloseSessionWindow(const std::string& feed,
     return false;
   }
   ++backlog_windows_;
-  ctr_windows_closed_->Inc();
-  if (reason == WindowClose::kDeadline) ctr_windows_deadline_closed_->Inc();
   return true;
 }
 
@@ -358,7 +389,6 @@ void ServiceDispatcher::QuarantineFeed(const std::string& feed,
   slot.quarantined = true;
   if (!slot.input_failed) {  // first fault wins
     slot.quarantine_reason = std::move(reason);
-    ctr_feeds_quarantined_->Inc();
     FRT_LOG(Warning) << "service: quarantined feed '" << feed
                      << "': " << slot.quarantine_reason;
   }
@@ -380,7 +410,6 @@ void ServiceDispatcher::EndInputAtFault(const std::string& feed,
   if (slot.quarantined || slot.input_failed) return;  // first fault wins
   slot.input_failed = true;
   slot.quarantine_reason = std::move(reason);
-  ctr_feeds_quarantined_->Inc();
   FRT_LOG(Warning) << "service: input of feed '" << feed
                    << "' failed: " << slot.quarantine_reason
                    << " (windows closed before the fault still publish)";
@@ -392,7 +421,7 @@ void ServiceDispatcher::EndInputAtFault(const std::string& feed,
 
 void ServiceDispatcher::TearDownSession(FeedSlot* slot) {
   MergeStreamReport(&slot->merged, slot->session->report(),
-                    config_.stream.max_window_reports);
+                    /*with_windows=*/true, config_.stream.max_window_reports);
   slot->carry = slot->session->Carry();
   slot->session.reset();
   slot->armed_deadline = SteadyClock::time_point::max();
@@ -404,8 +433,7 @@ void ServiceDispatcher::TearDownSession(FeedSlot* slot) {
 void ServiceDispatcher::EvictSession(FeedSlot* slot) {
   TearDownSession(slot);
   slot->ever_evicted = true;
-  ++report_.sessions_evicted;
-  ctr_sessions_evicted_->Inc();
+  ++events_.sessions_evicted;
 }
 
 void ServiceDispatcher::SubmitReady() {
@@ -459,17 +487,11 @@ void ServiceDispatcher::SubmitReady() {
     FeedSlot& slot = feeds_.at(name);
     if (!slot.session || slot.quarantined) continue;  // died mid-scan
     const size_t backlog_before = slot.session->backlog_size();
-    const size_t refused_before = slot.session->report().windows_refused;
     std::optional<WindowJob> job = slot.session->NextSubmittable();
     // Admission refusals, a stop_when_exhausted drop and the submission
     // all shrink the backlog; the running counter absorbs whatever
     // NextSubmittable consumed.
     backlog_windows_ -= backlog_before - slot.session->backlog_size();
-    if (const size_t refused =
-            slot.session->report().windows_refused - refused_before;
-        refused > 0) {
-      ctr_windows_refused_->Inc(refused);
-    }
     if (config_.stream.stop_when_exhausted && !stopping_ &&
         slot.session->had_refusals()) {
       // End service at the first refusal: stop ingesting, drain what
@@ -631,8 +653,6 @@ void ServiceDispatcher::FlushPublishes() {
             .count();
     sink_hist_.Record(sink_ms);
     cell_sink_->Record(sink_ms);
-    ctr_windows_published_->Inc();
-    ctr_trajectories_published_->Inc(pending.report.trajectories);
     slot.session->RecordPublished(pending.report);
     if (slot.session->evict_when_drained() && slot.session->Drained()) {
       EvictSession(&slot);
@@ -662,14 +682,12 @@ Status ServiceDispatcher::WriteCheckpointNow() {
   const SteadyClock::time_point write_start = SteadyClock::now();
   if (Status st = store_->Write(image); !st.ok()) {
     // Counted before the abort so the last metrics tick shows WHY the
-    // service died (satellite to the dir-fsync propagation fix).
-    ++checkpoint_errors_;
-    ctr_checkpoint_errors_->Inc();
+    // service died.
+    ++events_.checkpoint_errors;
     return st;
   }
   checkpoint_seq_ = image.sequence;
-  ++checkpoints_written_;
-  ctr_checkpoints_written_->Inc();
+  ++events_.checkpoints_written;
   ledger_dirty_ = false;
   last_checkpoint_ = SteadyClock::now();
   const double write_ms = std::chrono::duration<double, std::milli>(
@@ -690,189 +708,136 @@ void ServiceDispatcher::MaybeCheckpoint(SteadyClock::time_point now) {
   if (Status st = WriteCheckpointNow(); !st.ok()) Abort(st);
 }
 
-void ServiceDispatcher::MaybePublishMetrics(SteadyClock::time_point now) {
-  // Runs with or without an exporter: the introspection board must tick
-  // so /healthz staleness detection and /feedz stay live.
+void ServiceDispatcher::MaybePublishSnapshot(SteadyClock::time_point now) {
   if (now - last_metrics_ <
       std::chrono::milliseconds(
           metrics_interval_ms_.load(std::memory_order_relaxed))) {
     return;
   }
-  PublishMetricsNow(now);
+  PublishSnapshot(now);
 }
 
-void ServiceDispatcher::PublishMetricsNow(SteadyClock::time_point now) {
-  MetricsSnapshot s;
-  auto intro = std::make_shared<ServiceIntrospection>();
-  s.seq = ++metrics_seq_;
-  s.uptime_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                    now - started_at_)
-                    .count();
-  s.feeds = feed_order_.size();
-  s.active_sessions = active_sessions_;
-  s.queue_depth = arrivals_->size();
-  s.in_flight = in_flight_;
-  s.backlog_windows = backlog_windows_;
-  s.checkpoint_errors = checkpoint_errors_;
-  const bool per_feed =
-      config_.metrics != nullptr && config_.metrics->per_feed();
+StreamReport ServiceDispatcher::FeedTotals(const FeedSlot& slot,
+                                           bool with_windows) const {
+  StreamReport totals;
+  MergeStreamReport(&totals, slot.merged, with_windows,
+                    config_.stream.max_window_reports);
+  if (slot.session) {
+    MergeStreamReport(&totals, slot.session->report(), with_windows,
+                      config_.stream.max_window_reports);
+  }
+  return totals;
+}
+
+void ServiceDispatcher::PublishSnapshot(SteadyClock::time_point now) {
+  auto s = std::make_shared<ServiceSnapshot>();
+  static_cast<ServiceCounters&>(*s) = events_;
+  s->seq = ++metrics_seq_;
+  s->uptime_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                     now - started_at_)
+                     .count();
+  s->published_at = now;
+  s->finished = final_tick_;
+  s->aborted = aborted_;
+  s->feeds = feed_order_.size();
+  s->active_sessions = active_sessions_;
+  s->queue_depth = arrivals_->size();
+  s->backlog_windows = backlog_windows_;
+  s->in_flight = in_flight_;
   const double budget =
       config_.stream.accounting == BudgetAccounting::kWholesale
           ? config_.stream.total_budget
           : config_.stream.per_object_budget;
-  intro->feeds_detail.reserve(feed_order_.size());
+  s->feeds_detail.reserve(feed_order_.size());
   for (const auto& name : feed_order_) {
     const FeedSlot& slot = feeds_.at(name);
-    // Merged (evicted-generation) counters plus the live session's; the
-    // live session's epsilon is already cumulative (its accountants were
-    // preloaded with the predecessors' spend).
-    size_t windows_closed = slot.merged.windows_closed;
-    size_t windows_published = slot.merged.windows_published;
-    size_t windows_refused = slot.merged.windows_refused;
-    size_t windows_deadline = slot.merged.windows_deadline_closed;
-    size_t trajectories_in = slot.merged.trajectories_in;
-    size_t trajectories_published = slot.merged.trajectories_published;
-    double epsilon_spent = slot.merged.epsilon_spent;
-    if (slot.faulted()) ++s.feeds_quarantined;
-    if (slot.session) {
-      const StreamReport& live = slot.session->report();
-      windows_closed += live.windows_closed;
-      windows_published += live.windows_published;
-      windows_refused += live.windows_refused;
-      windows_deadline += live.windows_deadline_closed;
-      trajectories_in += live.trajectories_in;
-      trajectories_published += live.trajectories_published;
-      epsilon_spent = live.epsilon_spent;
-    }
-    s.windows_closed += windows_closed;
-    s.windows_published += windows_published;
-    s.windows_refused += windows_refused;
-    s.windows_deadline_closed += windows_deadline;
-    s.trajectories_in += trajectories_in;
-    s.trajectories_published += trajectories_published;
-    s.epsilon_spent_max = std::max(s.epsilon_spent_max, epsilon_spent);
-    // Same expression as the frt_feed lines — bit-identical on purpose,
-    // so a shutdown /feedz scrape matches the final report exactly.
-    const double epsilon_remaining =
-        budget > 0.0 ? std::max(0.0, budget - epsilon_spent)
-                     : std::numeric_limits<double>::infinity();
-    if (per_feed) {
-      MetricsSnapshot::Feed detail;
-      detail.feed = name;
-      detail.epsilon_spent = epsilon_spent;
-      detail.epsilon_remaining = epsilon_remaining;
-      detail.windows_published = windows_published;
-      detail.windows_refused = windows_refused;
-      s.feeds_detail.push_back(std::move(detail));
-    }
-    ServiceIntrospection::Feed feed;
+    const StreamReport totals = FeedTotals(slot, /*with_windows=*/false);
+    s->windows_closed += totals.windows_closed;
+    s->windows_published += totals.windows_published;
+    s->windows_refused += totals.windows_refused;
+    s->windows_deadline_closed += totals.windows_deadline_closed;
+    s->trajectories_in += totals.trajectories_in;
+    s->trajectories_published += totals.trajectories_published;
+    s->trajectories_refused += totals.trajectories_refused;
+    s->trajectories_evicted += totals.trajectories_evicted;
+    if (slot.faulted()) ++s->feeds_quarantined;
+    s->epsilon_spent_max = std::max(s->epsilon_spent_max, totals.epsilon_spent);
+    ServiceSnapshot::Feed feed;
     feed.feed = name;
-    feed.epsilon_spent = epsilon_spent;
-    feed.epsilon_remaining = epsilon_remaining;
-    feed.windows_published = windows_published;
-    feed.windows_refused = windows_refused;
+    feed.epsilon_spent = totals.epsilon_spent;
+    feed.epsilon_remaining =
+        budget > 0.0 ? std::max(0.0, budget - totals.epsilon_spent)
+                     : std::numeric_limits<double>::infinity();
+    feed.windows_published = totals.windows_published;
+    feed.windows_refused = totals.windows_refused;
     feed.backlog = slot.session ? slot.session->backlog_size() : 0;
     feed.quarantined = slot.faulted();
     feed.quarantine_reason = slot.quarantine_reason;
-    intro->feeds_detail.push_back(std::move(feed));
+    s->feeds_detail.push_back(std::move(feed));
   }
-  // Histogram reads are O(buckets), not O(n log n) over a sample ring:
-  // the metrics tick no longer re-sorts anything.
-  s.close_wait_p50_ms = close_wait_hist_.Quantile(0.50);
-  s.close_wait_p99_ms = close_wait_hist_.Quantile(0.99);
-  s.publish_p50_ms = publish_hist_.Quantile(0.50);
-  s.publish_p99_ms = publish_hist_.Quantile(0.99);
-  if (config_.metrics != nullptr && config_.metrics->histograms()) {
-    auto stage = [&s](const char* name, const obs::Histogram& h) {
-      MetricsSnapshot::Stage out;
-      out.stage = name;
-      out.count = h.count();
-      out.p50_ms = h.Quantile(0.50);
-      out.p99_ms = h.Quantile(0.99);
-      out.max_ms = h.max_ms();
-      out.mean_ms = h.mean_ms();
-      s.stages.push_back(std::move(out));
-    };
-    stage("close_wait", close_wait_hist_);
-    stage("queue_wait", queue_wait_hist_);
-    stage("anonymize", anonymize_hist_);
-    stage("publish", publish_hist_);
-    stage("sink", sink_hist_);
-    stage("checkpoint", checkpoint_hist_);
-  }
-  s.checkpoint_seq = checkpoint_seq_;
-  s.checkpoints_written = checkpoints_written_;
-  if (store_.has_value() && checkpoints_written_ > 0) {
-    s.checkpoint_age_ms =
+  // Histogram reads are O(buckets), so every tick can afford them all.
+  s->close_wait_p50_ms = close_wait_hist_.Quantile(0.50);
+  s->close_wait_p99_ms = close_wait_hist_.Quantile(0.99);
+  s->publish_p50_ms = publish_hist_.Quantile(0.50);
+  s->publish_p99_ms = publish_hist_.Quantile(0.99);
+  const auto stage = [&s](const char* name, const obs::Histogram& h) {
+    s->stages.push_back({name, h.count(), h.Quantile(0.50), h.Quantile(0.99),
+                         h.max_ms(), h.mean_ms()});
+  };
+  stage("close_wait", close_wait_hist_);
+  stage("queue_wait", queue_wait_hist_);
+  stage("anonymize", anonymize_hist_);
+  stage("publish", publish_hist_);
+  stage("sink", sink_hist_);
+  stage("checkpoint", checkpoint_hist_);
+  s->checkpoint_seq = checkpoint_seq_;
+  if (store_.has_value() && events_.checkpoints_written > 0) {
+    s->checkpoint_age_ms =
         std::chrono::duration<double, std::milli>(now - last_checkpoint_)
             .count();
   }
-  // Registry gauges: the scrapeable point-in-time twins of the snapshot.
-  g_active_sessions_->Set(static_cast<double>(s.active_sessions));
-  g_queue_depth_->Set(static_cast<double>(s.queue_depth));
-  g_backlog_windows_->Set(static_cast<double>(s.backlog_windows));
-  g_in_flight_->Set(static_cast<double>(s.in_flight));
-  g_feeds_->Set(static_cast<double>(s.feeds));
-  g_eps_spent_max_->Set(s.epsilon_spent_max);
-  intro->seq = s.seq;
-  intro->uptime_ms = s.uptime_ms;
-  intro->published_at = now;
-  intro->finished = final_tick_;
-  intro->aborted = aborted_;
-  intro->feeds = s.feeds;
-  intro->active_sessions = s.active_sessions;
-  intro->queue_depth = s.queue_depth;
-  intro->backlog_windows = s.backlog_windows;
-  intro->in_flight = s.in_flight;
-  intro->feeds_quarantined = s.feeds_quarantined;
-  intro->checkpoint_seq = s.checkpoint_seq;
-  intro->checkpoint_age_ms = s.checkpoint_age_ms;
-  intro->checkpoints_written = s.checkpoints_written;
-  intro->checkpoint_errors = s.checkpoint_errors;
-  introspection_.Publish(std::move(intro));
-  if (config_.metrics != nullptr) config_.metrics->Publish(std::move(s));
+  WriteRegistrySeries(*s, snapshots_.Read().get());
+  snapshots_.Publish(std::move(s));
   last_metrics_ = now;
 }
 
+void ServiceDispatcher::WriteRegistrySeries(const ServiceSnapshot& now,
+                                            const ServiceSnapshot* before) {
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    const auto field = kCounterSeries[i].field;
+    counters_[i]->Inc(now.*field - (before != nullptr ? before->*field : 0));
+  }
+  for (size_t i = 0; i < gauges_.size(); ++i) {
+    gauges_[i]->Set(kGaugeSeries[i].value(now));
+  }
+}
+
 void ServiceDispatcher::BuildFinalReport() {
-  report_.feeds = feed_order_.size();
+  // The shutdown tick already aggregated every counter.
+  const std::shared_ptr<const ServiceSnapshot> last = snapshots_.Read();
+  static_cast<ServiceCounters&>(report_) = *last;
+  report_.feeds = last->feeds;
   for (const auto& name : feed_order_) {
-    FeedSlot& slot = feeds_.at(name);
+    const FeedSlot& slot = feeds_.at(name);
     FeedReport feed_report;
     feed_report.feed = name;
     feed_report.sessions = slot.generations;
     feed_report.evicted = !slot.session && slot.ever_evicted;
     feed_report.quarantined = slot.faulted();
     feed_report.quarantine_reason = slot.quarantine_reason;
-    if (slot.faulted()) ++report_.feeds_quarantined;
-    feed_report.stream = slot.merged;
-    if (slot.session) {
-      MergeStreamReport(&feed_report.stream, slot.session->report(),
-                        config_.stream.max_window_reports);
-    }
+    feed_report.stream = FeedTotals(slot, /*with_windows=*/true);
     feed_report.close_wait_p50_ms = slot.close_wait_hist.Quantile(0.50);
     feed_report.close_wait_p99_ms = slot.close_wait_hist.Quantile(0.99);
     feed_report.close_wait_max_ms = slot.close_wait_hist.max_ms();
     feed_report.publish_p50_ms = slot.publish_hist.Quantile(0.50);
     feed_report.publish_p99_ms = slot.publish_hist.Quantile(0.99);
     feed_report.publish_max_ms = slot.publish_hist.max_ms();
-    report_.windows_closed += feed_report.stream.windows_closed;
-    report_.windows_published += feed_report.stream.windows_published;
-    report_.windows_refused += feed_report.stream.windows_refused;
-    report_.windows_deadline_closed +=
-        feed_report.stream.windows_deadline_closed;
-    report_.trajectories_in += feed_report.stream.trajectories_in;
-    report_.trajectories_published +=
-        feed_report.stream.trajectories_published;
-    report_.trajectories_refused += feed_report.stream.trajectories_refused;
-    report_.trajectories_evicted += feed_report.stream.trajectories_evicted;
     report_.feeds_report.push_back(std::move(feed_report));
   }
   std::sort(report_.feeds_report.begin(), report_.feeds_report.end(),
             [](const FeedReport& a, const FeedReport& b) {
               return a.feed < b.feed;
             });
-  report_.checkpoints_written = checkpoints_written_;
   report_.checkpoint_sequence = checkpoint_seq_;
   report_.close_wait_p50_ms = close_wait_hist_.Quantile(0.50);
   report_.close_wait_p99_ms = close_wait_hist_.Quantile(0.99);
@@ -888,9 +853,9 @@ void ServiceDispatcher::DispatcherLoop() {
   started_at_ = SteadyClock::now();
   last_checkpoint_ = started_at_;
   last_metrics_ = started_at_;
-  // An immediate first snapshot: even a sub-interval run leaves one line
-  // behind when the exporter flushes at Stop().
-  PublishMetricsNow(started_at_);
+  // An immediate first snapshot: the admin plane and the exporter have a
+  // view from the start, even in a sub-interval run.
+  PublishSnapshot(started_at_);
   bool input_done = false;
   while (!input_done) {
     // Absorb whatever the workers finished, then publish it (write-ahead
@@ -914,10 +879,9 @@ void ServiceDispatcher::DispatcherLoop() {
       deadline = deadlines_.top().when;
       timed = true;
     }
-    // Housekeeping deadlines: the next metrics/introspection tick
-    // (unconditional — the admin plane needs a fresh board even with no
-    // exporter), and the interval snapshot for dirty ledgers that have no
-    // publish to ride on.
+    // Housekeeping deadlines: the next metrics tick (unconditional — the
+    // admin plane needs a fresh board even with no exporter), and the
+    // interval snapshot for dirty ledgers that have no publish to ride on.
     deadline = std::min(
         deadline,
         last_metrics_ + std::chrono::milliseconds(metrics_interval_ms_.load(
@@ -947,7 +911,7 @@ void ServiceDispatcher::DispatcherLoop() {
       const SteadyClock::time_point now = SteadyClock::now();
       if (!aborted_ && !stopping_) ProcessDueDeadlines(now);
       MaybeCheckpoint(now);
-      MaybePublishMetrics(now);
+      MaybePublishSnapshot(now);
       continue;
     }
     if (in_flight_ > 0) {
@@ -995,7 +959,7 @@ void ServiceDispatcher::DispatcherLoop() {
     }
     if (!aborted_ && !stopping_) ProcessDueDeadlines(now);
     MaybeCheckpoint(now);
-    MaybePublishMetrics(now);
+    MaybePublishSnapshot(now);
   }
 
   // Ingress finished: flush every session's trailing partial window, then
@@ -1022,7 +986,7 @@ void ServiceDispatcher::DispatcherLoop() {
     AbsorbCompletion(std::move(*completion));
     FlushPublishes();
     SubmitReady();
-    MaybePublishMetrics(SteadyClock::now());
+    MaybePublishSnapshot(SteadyClock::now());
   }
   pool_->WaitIdle();
   completions_->Close();
@@ -1033,12 +997,13 @@ void ServiceDispatcher::DispatcherLoop() {
   if (store_.has_value()) {
     if (Status st = WriteCheckpointNow(); !st.ok() && !aborted_) Abort(st);
   }
+  // The final tick: everything is quiesced, so the snapshot it publishes —
+  // and with it every telemetry surface — agrees with the final report
+  // bit for bit.
+  final_tick_ = true;
+  PublishSnapshot(SteadyClock::now());
   BuildFinalReport();
   report_.wall_seconds = wall.ElapsedSeconds();
-  // The final tick: everything is quiesced, so the introspection board,
-  // the exporter's last line, and the final report all agree bit for bit.
-  final_tick_ = true;
-  PublishMetricsNow(SteadyClock::now());
 }
 
 }  // namespace frt

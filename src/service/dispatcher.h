@@ -73,7 +73,7 @@
 #include "runtime/work_stealing_pool.h"
 #include "service/checkpoint.h"
 #include "service/feed_session.h"
-#include "service/metrics_exporter.h"
+#include "service/service_snapshot.h"
 #include "stream/stream_config.h"
 #include "traj/dataset.h"
 
@@ -118,63 +118,16 @@ struct ServiceConfig {
   /// publish to ride on (session revivals, evictions). Publish-driven
   /// write-ahead snapshots ignore this — they are mandatory.
   int64_t checkpoint_interval_ms = 1000;
-  /// Optional metrics exporter (not owned; must outlive the service). The
-  /// dispatcher publishes a MetricsSnapshot every metrics_interval_ms; the
-  /// exporter's own thread does all formatting and IO.
-  MetricsExporter* metrics = nullptr;
+  /// Cadence (ms) of the metrics tick that builds and publishes the
+  /// ServiceSnapshot (service/service_snapshot.h); tunable at runtime
+  /// through SetMetricsIntervalMs.
   int64_t metrics_interval_ms = 1000;
   /// Registry the frt_serve_* counters/gauges register into (not owned;
-  /// must outlive the service). The per-run ServiceReport stays the
-  /// authoritative per-instance accounting; the registry carries additive
-  /// process-wide mirrors for the pull plane. Tests that need bit-exact
-  /// registry values construct their own Registry here.
+  /// must outlive the service). The metrics tick writes them from the
+  /// snapshot it publishes; counters add each tick's delta, so they stay
+  /// additive process-wide mirrors of the per-run ServiceReport. Tests
+  /// that need bit-exact registry values construct their own Registry.
   obs::Registry* registry = &obs::Registry::Default();
-};
-
-/// Read-only view of the service for the admin plane, rebuilt on the
-/// dispatcher thread at every metrics tick (and always at start and
-/// shutdown, even with no exporter configured) and published through an
-/// obs::SnapshotBoard. Admin handlers read the latest copy without
-/// touching any dispatcher-owned state.
-struct ServiceIntrospection {
-  /// Monotone tick counter; a scraper that sees the same seq twice with a
-  /// growing published_at age is looking at a wedged dispatcher.
-  uint64_t seq = 0;
-  int64_t uptime_ms = 0;
-  /// When this view was built (steady clock) — readers derive staleness.
-  std::chrono::steady_clock::time_point published_at{};
-  /// The dispatcher loop has exited (final view).
-  bool finished = false;
-  /// The run hit a fatal error (error surfaces through Finish()).
-  bool aborted = false;
-  size_t feeds = 0;
-  size_t active_sessions = 0;
-  size_t queue_depth = 0;
-  size_t backlog_windows = 0;
-  size_t in_flight = 0;
-  size_t feeds_quarantined = 0;
-  uint64_t checkpoint_seq = 0;
-  double checkpoint_age_ms = -1.0;  ///< negative: checkpointing off/idle
-  size_t checkpoints_written = 0;
-  size_t checkpoint_errors = 0;
-
-  struct Feed {
-    std::string feed;
-    /// Cumulative guarantee, same accounting the frt_feed lines report.
-    double epsilon_spent = 0.0;
-    /// max(0, budget - spent); +inf when the ledger is not enforcing.
-    /// Computed with the exporter's exact expression so the shutdown view
-    /// is bit-identical to the final frt_feed lines.
-    double epsilon_remaining = 0.0;
-    size_t windows_published = 0;
-    size_t windows_refused = 0;
-    /// Closed-but-unsubmitted windows this feed holds right now.
-    size_t backlog = 0;
-    bool quarantined = false;
-    std::string quarantine_reason;
-  };
-  /// Every feed ever seen, in first-seen order.
-  std::vector<Feed> feeds_detail;
 };
 
 /// Per-feed outcome, merged across the feed's session generations.
@@ -206,20 +159,11 @@ struct FeedReport {
   double publish_max_ms = 0.0;
 };
 
-/// Service-wide aggregates over one Run.
-struct ServiceReport {
+/// Service-wide aggregates over one Run. The counters are the shutdown
+/// ServiceSnapshot's.
+struct ServiceReport : ServiceCounters {
   size_t feeds = 0;
-  size_t sessions_created = 0;
-  size_t sessions_evicted = 0;
   size_t peak_active_sessions = 0;
-  size_t windows_closed = 0;
-  size_t windows_published = 0;
-  size_t windows_refused = 0;
-  size_t windows_deadline_closed = 0;
-  size_t trajectories_in = 0;
-  size_t trajectories_published = 0;
-  size_t trajectories_refused = 0;
-  size_t trajectories_evicted = 0;
   double wall_seconds = 0.0;
   /// Oldest-arrival -> window-close latency percentiles in ms — the
   /// distribution --close-after-ms bounds.
@@ -230,13 +174,10 @@ struct ServiceReport {
   double publish_p50_ms = 0.0;
   double publish_p99_ms = 0.0;
   double publish_max_ms = 0.0;
-  /// Durability (state_dir set): snapshots written this run, the last
-  /// durable sequence number, and feeds revived from a prior snapshot.
-  size_t checkpoints_written = 0;
+  /// Durability (state_dir set): the last durable sequence number and
+  /// the feeds revived from a prior snapshot.
   uint64_t checkpoint_sequence = 0;
   size_t feeds_recovered = 0;
-  /// Feeds quarantined by per-feed faults this run (see FeedReport).
-  size_t feeds_quarantined = 0;
   /// Per-feed reports, sorted by feed id.
   std::vector<FeedReport> feeds_report;
 };
@@ -309,15 +250,15 @@ class ServiceDispatcher {
 
   const ServiceConfig& config() const { return config_; }
 
-  /// \brief Latest introspection view (nullptr before Start()). Safe from
-  /// any thread at any time; never blocks the dispatcher (see
-  /// obs::SnapshotBoard).
-  std::shared_ptr<const ServiceIntrospection> Introspect() const {
-    return introspection_.Read();
+  /// \brief Where each metrics tick publishes its ServiceSnapshot (empty
+  /// before Start()). Safe to read from any thread at any time; a reader
+  /// never blocks the dispatcher (see obs::SnapshotBoard).
+  const obs::SnapshotBoard<ServiceSnapshot>& snapshots() const {
+    return snapshots_;
   }
 
-  /// \brief Retunes the metrics/introspection cadence at runtime (admin
-  /// /control). Thread-safe; takes effect at the next dispatcher wakeup.
+  /// \brief Retunes the metrics tick at runtime (admin /control).
+  /// Thread-safe; takes effect at the next dispatcher wakeup.
   void SetMetricsIntervalMs(int64_t ms) {
     metrics_interval_ms_.store(std::max<int64_t>(ms, 1),
                                std::memory_order_relaxed);
@@ -445,9 +386,20 @@ class ServiceDispatcher {
   Status WriteCheckpointNow();
   /// Interval snapshot for dirty ledgers with no publish to ride on.
   void MaybeCheckpoint(std::chrono::steady_clock::time_point now);
-  /// Publishes a MetricsSnapshot when the metrics interval elapsed.
-  void MaybePublishMetrics(std::chrono::steady_clock::time_point now);
-  void PublishMetricsNow(std::chrono::steady_clock::time_point now);
+  /// Runs the metrics tick when the metrics interval elapsed.
+  void MaybePublishSnapshot(std::chrono::steady_clock::time_point now);
+  /// The metrics tick: builds one ServiceSnapshot, writes the frt_serve_*
+  /// series from it, and publishes it on snapshots_.
+  void PublishSnapshot(std::chrono::steady_clock::time_point now);
+  /// Writes every frt_serve_* series from `now`: gauges are set, counters
+  /// add their delta against `before` (the previous tick; null at the
+  /// first).
+  void WriteRegistrySeries(const ServiceSnapshot& now,
+                           const ServiceSnapshot* before);
+  /// A feed's cumulative report: the merged generations plus the live
+  /// session. The one per-feed aggregation behind the metrics tick and the
+  /// final report; only the latter asks for the window history.
+  StreamReport FeedTotals(const FeedSlot& slot, bool with_windows) const;
   /// Records a fatal error once and stops admitting new work.
   void Abort(Status status);
   /// Merges the slot's session report and budget carry into the slot and
@@ -510,10 +462,9 @@ class ServiceDispatcher {
   std::optional<CheckpointStore> store_;
   std::vector<PendingPublish> pending_;
   uint64_t checkpoint_seq_ = 0;  ///< resumes from the recovered snapshot
-  size_t checkpoints_written_ = 0;
-  /// Snapshot writes that failed (each aborts the run; surfaced in
-  /// metrics so an operator sees WHY the service died).
-  size_t checkpoint_errors_ = 0;
+  /// Event-driven counters (sessions, checkpoints); the tick adds the
+  /// per-feed totals on top. Its per-feed fields stay zero.
+  ServiceCounters events_;
   /// Ledger state changed since the last snapshot (spend, generation, or
   /// window-counter movement).
   bool ledger_dirty_ = false;
@@ -522,34 +473,21 @@ class ServiceDispatcher {
   std::chrono::steady_clock::time_point last_metrics_{};
   uint64_t metrics_seq_ = 0;
   ServiceReport report_;
-  /// The loop's final tick is running: the introspection view it builds
-  /// carries finished=true so /readyz can flip before Finish() returns.
+  /// The loop's final tick is running: the snapshot it builds carries
+  /// finished=true so /readyz can flip before Finish() returns.
   bool final_tick_ = false;
   /// Runtime-tunable metrics cadence (SetMetricsIntervalMs, any thread);
   /// seeded from config_.metrics_interval_ms at construction.
   std::atomic<int64_t> metrics_interval_ms_{1000};
-  /// Admin-plane publication point (see ServiceIntrospection).
-  obs::SnapshotBoard<ServiceIntrospection> introspection_;
-  /// Registry mirrors (see ServiceConfig::registry). Counters are bumped
-  /// at the same sites as the per-run report fields; gauges are set each
-  /// metrics tick; cells shadow the plain per-run histograms.
-  obs::Counter* ctr_sessions_created_ = nullptr;
-  obs::Counter* ctr_sessions_evicted_ = nullptr;
-  obs::Counter* ctr_windows_closed_ = nullptr;
-  obs::Counter* ctr_windows_published_ = nullptr;
-  obs::Counter* ctr_windows_refused_ = nullptr;
-  obs::Counter* ctr_windows_deadline_closed_ = nullptr;
-  obs::Counter* ctr_trajectories_in_ = nullptr;
-  obs::Counter* ctr_trajectories_published_ = nullptr;
-  obs::Counter* ctr_feeds_quarantined_ = nullptr;
-  obs::Counter* ctr_checkpoints_written_ = nullptr;
-  obs::Counter* ctr_checkpoint_errors_ = nullptr;
-  obs::Gauge* g_active_sessions_ = nullptr;
-  obs::Gauge* g_queue_depth_ = nullptr;
-  obs::Gauge* g_backlog_windows_ = nullptr;
-  obs::Gauge* g_in_flight_ = nullptr;
-  obs::Gauge* g_feeds_ = nullptr;
-  obs::Gauge* g_eps_spent_max_ = nullptr;
+  /// The one publication point of every telemetry surface.
+  obs::SnapshotBoard<ServiceSnapshot> snapshots_;
+  /// frt_serve_* series (see ServiceConfig::registry), written only by
+  /// WriteRegistrySeries, in the order of the series tables in
+  /// dispatcher.cc.
+  std::vector<obs::Counter*> counters_;
+  std::vector<obs::Gauge*> gauges_;
+  /// Process-wide frt_stage_ms cells, recorded next to the plain per-run
+  /// histograms above.
   obs::HistogramCell* cell_close_wait_ = nullptr;
   obs::HistogramCell* cell_publish_ = nullptr;
   obs::HistogramCell* cell_queue_wait_ = nullptr;

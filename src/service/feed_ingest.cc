@@ -82,6 +82,10 @@ Status IngestMultiFeedCsv(std::istream& in, ServiceDispatcher& service) {
           "line " + std::to_string(lineno) + ": expected feed,traj_id,x,y,t"));
     }
     const std::string feed = line.substr(0, comma);
+    if (Status st = ValidateFeedId(feed); !st.ok()) {
+      return fail(Status::InvalidArgument("line " + std::to_string(lineno) +
+                                          ": " + st.message()));
+    }
     Result<std::optional<CsvRecord>> record =
         ParseCsvRecord(std::string_view(line).substr(comma + 1), lineno);
     if (!record.ok()) return fail(record.status());

@@ -51,8 +51,9 @@ Status IngestFeedFiles(
 
 /// \brief Streams the interleaved multi-feed CSV (`feed,traj_id,x,y,t`).
 /// Per feed, consecutive same-id lines form one trajectory, so distinct
-/// feeds may interleave freely. On a parse error the input of every feed
-/// it delivered ends at the fault and the error is returned.
+/// feeds may interleave freely. A feed id failing ValidateFeedId
+/// (traj/io.h) makes its line malformed. On a parse error the input of
+/// every feed it delivered ends at the fault and the error is returned.
 Status IngestMultiFeedCsv(std::istream& in, ServiceDispatcher& service);
 
 /// The one feed of the single-feed service. Its --state-dir snapshots name

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "common/strings.h"
@@ -20,8 +21,9 @@ int64_t UnixMillis() {
 
 }  // namespace
 
-MetricsExporter::MetricsExporter(Options options)
-    : options_(std::move(options)) {
+MetricsExporter::MetricsExporter(
+    Options options, const obs::SnapshotBoard<ServiceSnapshot>& board)
+    : options_(std::move(options)), board_(board) {
   if (options_.interval_ms < 1) options_.interval_ms = 1;
   interval_ms_.store(options_.interval_ms, std::memory_order_relaxed);
 }
@@ -52,12 +54,6 @@ Status MetricsExporter::Start() {
   return Status::OK();
 }
 
-void MetricsExporter::Publish(MetricsSnapshot snapshot) {
-  std::lock_guard<std::mutex> lock(mu_);
-  latest_ = std::move(snapshot);
-  has_snapshot_ = true;
-}
-
 void MetricsExporter::Stop() {
   if (!started_) return;
   {
@@ -67,21 +63,12 @@ void MetricsExporter::Stop() {
   cv_.notify_all();
   thread_.join();
   started_ = false;
-  // Final flush: the loop never emits on the stop wakeup (it might race a
-  // Publish that landed between the wake and the copy), so the last
-  // partial interval is written here, after the join, where the latest
-  // snapshot is guaranteed to be the publisher's final word.
-  bool emit_final = false;
-  MetricsSnapshot final_snapshot;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (has_snapshot_ && writable_) {
-      final_snapshot = latest_;
-      emit_final = true;
-    }
-  }
-  if (emit_final) {
-    const bool ok = Emit(final_snapshot);
+  // Final flush: the loop never emits on the stop wakeup, so the last
+  // partial interval is written here, after the join — by then the
+  // dispatcher has finished and the board holds its shutdown snapshot.
+  const std::shared_ptr<const ServiceSnapshot> snapshot = board_.Read();
+  if (snapshot != nullptr && writable_) {
+    const bool ok = Emit(*snapshot);
     std::lock_guard<std::mutex> lock(mu_);
     if (ok) {
       ++lines_written_;
@@ -94,7 +81,11 @@ void MetricsExporter::Stop() {
 }
 
 void MetricsExporter::SetIntervalMs(int64_t ms) {
-  interval_ms_.store(std::max<int64_t>(ms, 1), std::memory_order_relaxed);
+  {
+    // Stored under the lock so the loop's wait cannot miss the change.
+    std::lock_guard<std::mutex> lock(mu_);
+    interval_ms_.store(std::max<int64_t>(ms, 1), std::memory_order_relaxed);
+  }
   cv_.notify_all();
 }
 
@@ -106,17 +97,21 @@ size_t MetricsExporter::lines_written() const {
 void MetricsExporter::Loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    // Re-read every iteration: /control may retune the cadence mid-run.
-    const auto interval = std::chrono::milliseconds(
-        interval_ms_.load(std::memory_order_relaxed));
-    cv_.wait_for(lock, interval, [this] { return stop_; });
+    // A retune (/control) ends the wait at once; the loop then waits out
+    // the new cadence from that moment.
+    const int64_t interval_ms = interval_ms_.load(std::memory_order_relaxed);
+    const bool woken = cv_.wait_for(
+        lock, std::chrono::milliseconds(interval_ms), [&] {
+          return stop_ ||
+                 interval_ms_.load(std::memory_order_relaxed) != interval_ms;
+        });
     if (stop_) return;  // the final line is emitted by Stop(), post-join
-    if (has_snapshot_ && writable_) {
-      // Copy under the lock, format/write outside it: a slow disk never
-      // blocks Publish().
-      const MetricsSnapshot snapshot = latest_;
+    if (woken) continue;
+    const std::shared_ptr<const ServiceSnapshot> snapshot = board_.Read();
+    if (snapshot != nullptr && writable_) {
+      // Format/write outside the lock: a slow disk never blocks Stop().
       lock.unlock();
-      const bool ok = Emit(snapshot);
+      const bool ok = Emit(*snapshot);
       lock.lock();
       if (ok) {
         ++lines_written_;
@@ -127,9 +122,9 @@ void MetricsExporter::Loop() {
   }
 }
 
-bool MetricsExporter::Emit(const MetricsSnapshot& s) {
+bool MetricsExporter::Emit(const ServiceSnapshot& s) {
   const int64_t ts = UnixMillis();
-  // Delta throughput between consecutive snapshots; 0 until two distinct
+  // Delta throughput between consecutive emits; 0 until two distinct
   // uptimes have been seen.
   double publish_per_s = 0.0;
   if (have_prev_ && s.uptime_ms > prev_uptime_ms_) {
@@ -163,7 +158,7 @@ bool MetricsExporter::Emit(const MetricsSnapshot& s) {
       static_cast<unsigned long long>(s.checkpoint_seq), s.checkpoint_age_ms,
       s.checkpoints_written, s.checkpoint_errors);
   if (options_.per_feed) {
-    for (const MetricsSnapshot::Feed& feed : s.feeds_detail) {
+    for (const ServiceSnapshot::Feed& feed : s.feeds_detail) {
       line += StrFormat(
           "frt_feed ts_ms=%lld feed=%s eps_spent=%.6f eps_remaining=%g "
           "windows_published=%zu windows_refused=%zu\n",
@@ -173,7 +168,7 @@ bool MetricsExporter::Emit(const MetricsSnapshot& s) {
     }
   }
   if (options_.histograms) {
-    for (const MetricsSnapshot::Stage& stage : s.stages) {
+    for (const ServiceSnapshot::Stage& stage : s.stages) {
       line += StrFormat(
           "frt_stage ts_ms=%lld stage=%s count=%llu p50_ms=%.3f "
           "p99_ms=%.3f max_ms=%.3f mean_ms=%.3f\n",

@@ -1,16 +1,15 @@
 // Interval metrics exporter for the serving layer.
 //
-// Follows the LDMS sampler / storage-policy split: the data-plane thread
-// (the ServiceDispatcher's dispatcher thread, or a CLI's sink callback)
-// PUBLISHES point-in-time MetricsSnapshots — plain structs it can build
-// from state it already owns, with no locks on the hot path beyond one
-// swap — and a dedicated exporter thread STORES them: every interval it
-// formats the latest snapshot as one machine-readable `frt_metrics`
+// Follows the LDMS sampler / storage-policy split: the dispatcher thread
+// samples — each metrics tick publishes one ServiceSnapshot on its
+// obs::SnapshotBoard (service/service_snapshot.h) — and a dedicated
+// exporter thread stores: every interval it reads the latest snapshot off
+// that board, formats it as one machine-readable `frt_metrics`
 // key=value line (plus optional `frt_feed` per-feed lines) and appends it
-// to a file or stderr. A slow disk therefore never backpressures the
-// dispatcher, and a wedged dispatcher is still visible (the exporter
-// re-emits the last snapshot with a fresh timestamp, so consumers can
-// alert on a stale `seq`).
+// to a file or stderr. The exporter pulls; nothing pushes into it, so a
+// slow disk never backpressures the dispatcher, and a wedged dispatcher
+// is still visible (the exporter re-emits the last snapshot with a fresh
+// timestamp, so consumers can alert on a stale `seq`).
 //
 // Line format (stable, parse-with-awk friendly; one record per line):
 //
@@ -28,17 +27,17 @@
 //     windows_published=... windows_refused=...
 //
 // With Options::histograms, one per-stage line per interval and stage
-// (close_wait, queue_wait, anonymize, publish, sink, checkpoint), read
-// out of the dispatcher's bounded obs::Histogram instances — cumulative
-// over the run, exact counts, ~1.6% quantile error:
+// (close_wait, queue_wait, anonymize, publish, sink, checkpoint), from
+// the snapshot's stage summaries — cumulative over the run, exact
+// counts, ~1.6% quantile error:
 //
 //   frt_stage ts_ms=... stage=<name> count=<samples> p50_ms=...
 //     p99_ms=... max_ms=... mean_ms=...
 //
-// `publish_per_s` is computed by the exporter from consecutive snapshots
-// (delta trajectories / delta uptime), so the publisher only ever reports
-// monotone counters — the LDMS rule that samplers sample and storage
-// policies derive.
+// `publish_per_s` is computed by the exporter from consecutive emitted
+// snapshots (delta trajectories / delta uptime), so the sampler only ever
+// reports monotone counters — the LDMS rule that samplers sample and
+// storage policies derive.
 
 #ifndef FRT_SERVICE_METRICS_EXPORTER_H_
 #define FRT_SERVICE_METRICS_EXPORTER_H_
@@ -51,75 +50,15 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/result.h"
+#include "obs/registry.h"
+#include "service/service_snapshot.h"
 
 namespace frt {
 
-/// Point-in-time view of the service, built by the data-plane thread.
-struct MetricsSnapshot {
-  /// Publisher-side monotone sequence; lets consumers detect a stalled
-  /// data plane under a live exporter.
-  uint64_t seq = 0;
-  /// Milliseconds since the service started.
-  int64_t uptime_ms = 0;
-  size_t feeds = 0;
-  size_t active_sessions = 0;
-  size_t queue_depth = 0;       ///< arrival queue occupancy
-  size_t backlog_windows = 0;   ///< closed-but-unsubmitted windows
-  size_t in_flight = 0;         ///< window jobs on the pool
-  size_t windows_closed = 0;
-  size_t windows_published = 0;
-  size_t windows_refused = 0;
-  size_t windows_deadline_closed = 0;
-  size_t trajectories_in = 0;
-  size_t trajectories_published = 0;
-  /// Feeds quarantined so far (malformed input / per-feed faults).
-  size_t feeds_quarantined = 0;
-  double close_wait_p50_ms = 0.0;
-  double close_wait_p99_ms = 0.0;
-  double publish_p50_ms = 0.0;
-  double publish_p99_ms = 0.0;
-  /// Largest per-feed guarantee so far (max over feeds of the feed's
-  /// epsilon_spent — wholesale total or max per-object spend).
-  double epsilon_spent_max = 0.0;
-  /// Durability lag: sequence/age of the last durable snapshot, and how
-  /// many were written. Zero/negative age when checkpointing is off.
-  uint64_t checkpoint_seq = 0;
-  double checkpoint_age_ms = -1.0;
-  size_t checkpoints_written = 0;
-  /// Failed snapshot writes (each aborts the run; non-zero explains an
-  /// unexpected exit).
-  size_t checkpoint_errors = 0;
-
-  struct Feed {
-    std::string feed;
-    double epsilon_spent = 0.0;
-    /// Remaining budget; +inf when the feed's ledger is not enforcing.
-    double epsilon_remaining = 0.0;
-    size_t windows_published = 0;
-    size_t windows_refused = 0;
-  };
-  /// Per-feed detail (emitted as `frt_feed` lines when enabled).
-  std::vector<Feed> feeds_detail;
-
-  struct Stage {
-    std::string stage;
-    uint64_t count = 0;
-    double p50_ms = 0.0;
-    double p99_ms = 0.0;
-    double max_ms = 0.0;
-    double mean_ms = 0.0;
-  };
-  /// Per-stage latency detail (emitted as `frt_stage` lines when
-  /// enabled), read from the publisher's histograms.
-  std::vector<Stage> stages;
-};
-
 /// \brief Interval exporter thread (see file comment). Start() spawns it,
-/// Stop() flushes a final line and joins; Publish() may be called from any
-/// thread.
+/// Stop() joins it and flushes a final line.
 class MetricsExporter {
  public:
   struct Options {
@@ -136,7 +75,10 @@ class MetricsExporter {
     bool histograms = false;
   };
 
-  explicit MetricsExporter(Options options);
+  /// `board` (not owned) must outlive the exporter; the CLIs pass
+  /// ServiceDispatcher::snapshots().
+  MetricsExporter(Options options,
+                  const obs::SnapshotBoard<ServiceSnapshot>& board);
   ~MetricsExporter();
 
   MetricsExporter(const MetricsExporter&) = delete;
@@ -145,14 +87,10 @@ class MetricsExporter {
   /// \brief Opens the output and spawns the exporter thread.
   Status Start();
 
-  /// \brief Replaces the latest snapshot (cheap: one lock + swap).
-  void Publish(MetricsSnapshot snapshot);
-
   /// \brief Joins the exporter thread, then synchronously emits one final
-  /// line for the latest snapshot — the file always ends with the
-  /// end-of-run state, even when the last Publish landed mid-interval
-  /// (publishers must be quiesced before Stop, which every caller's
-  /// shutdown order guarantees). Idempotent.
+  /// line for the board's latest snapshot — stopped after the dispatcher's
+  /// Finish(), the file always ends with the shutdown snapshot, even when
+  /// it landed mid-interval. Idempotent.
   void Stop();
 
   /// Milliseconds between emitted lines.
@@ -161,17 +99,9 @@ class MetricsExporter {
   }
 
   /// \brief Changes the emission interval at runtime (admin /control).
-  /// Takes effect after the wait already in progress — at most one stale
-  /// interval.
+  /// Ends the wait in progress: the next line follows one new interval
+  /// after the call.
   void SetIntervalMs(int64_t ms);
-
-  /// Whether per-feed `frt_feed` lines are emitted — publishers may skip
-  /// building feeds_detail otherwise.
-  bool per_feed() const { return options_.per_feed; }
-
-  /// Whether per-stage `frt_stage` lines are emitted — publishers may
-  /// skip building stages otherwise.
-  bool histograms() const { return options_.histograms; }
 
   /// Lines written so far (tests).
   size_t lines_written() const;
@@ -182,17 +112,16 @@ class MetricsExporter {
   /// write error (reported once to stderr; the exporter then stops
   /// writing but never takes the service down — metrics are diagnostics,
   /// not data).
-  bool Emit(const MetricsSnapshot& snapshot);
+  bool Emit(const ServiceSnapshot& snapshot);
 
   Options options_;
+  const obs::SnapshotBoard<ServiceSnapshot>& board_;
   std::atomic<int64_t> interval_ms_{1000};
   std::FILE* out_ = nullptr;
   bool owns_out_ = false;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  MetricsSnapshot latest_;
-  bool has_snapshot_ = false;
   bool stop_ = false;
   bool writable_ = true;  ///< cleared after the first write error
   size_t lines_written_ = 0;

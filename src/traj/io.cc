@@ -27,6 +27,29 @@ Result<std::optional<CsvRecord>> ParseCsvRecord(std::string_view line,
   return std::optional<CsvRecord>(record);
 }
 
+Status ValidateFeedId(std::string_view feed) {
+  if (feed.empty()) return Status::InvalidArgument("empty feed id");
+  if (feed.size() > kMaxFeedIdBytes) {
+    return Status::InvalidArgument("feed id longer than " +
+                                   std::to_string(kMaxFeedIdBytes) +
+                                   " bytes");
+  }
+  if (feed == "." || feed == "..") {
+    return Status::InvalidArgument("feed id '" + std::string(feed) +
+                                   "' names a directory");
+  }
+  for (const char c : feed) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '/' || c == '\\' || c == ',' || byte < 0x20 || byte == 0x7F) {
+      return Status::InvalidArgument(
+          StrFormat("feed id contains byte 0x%02X ('/', '\\', ',' and "
+                    "control characters are not allowed)",
+                    byte));
+    }
+  }
+  return Status::OK();
+}
+
 void WriteTrajectoryCsv(const Trajectory& trajectory, std::ostream& out,
                         std::string_view line_prefix) {
   char buf[160];

@@ -43,6 +43,18 @@ Result<std::optional<CsvRecord>> ParseCsvRecord(std::string_view line,
 void WriteTrajectoryCsv(const Trajectory& trajectory, std::ostream& out,
                         std::string_view line_prefix = {});
 
+/// Longest feed id ValidateFeedId accepts, in bytes.
+inline constexpr size_t kMaxFeedIdBytes = 255;
+
+/// \brief The one rule for feed ids, checked wherever one enters the
+/// program (frame decode, the multi-feed CSV reader, --input NAME=). A
+/// feed id names a per-feed output file, prefixes multi-feed CSV rows and
+/// is written into checkpoint text and metrics lines, so it must be
+/// non-empty, at most kMaxFeedIdBytes, not "." or "..", and free of '/',
+/// '\\', ',' and control characters. Spaces are allowed (the checkpoint
+/// format writes the id last for that reason). InvalidArgument otherwise.
+Status ValidateFeedId(std::string_view feed);
+
 /// Writes `dataset` in CSV form (header comment + one line per sample).
 Status WriteDatasetCsv(const Dataset& dataset, std::ostream& out);
 

@@ -1,13 +1,17 @@
 // obs::AdminServer: the HTTP/1.0 introspection endpoint end to end over
 // real sockets — routing, error paths, the validate-then-apply /control
 // contract, form/JSON helpers, transient-accept classification, and a
-// dispatcher-backed scrape whose registry values match the final report.
+// dispatcher-backed run whose registry series, metrics-file lines and
+// /feedz scrape all match the final report.
 
 #include "obs/admin_server.h"
 
 #include <sys/socket.h>
 
 #include <cerrno>
+#include <cstdlib>
+#include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +19,8 @@
 #include "gtest/gtest.h"
 #include "net/socket.h"
 #include "service/dispatcher.h"
+#include "service/metrics_exporter.h"
+#include "service_cli.h"
 #include "stream/ingest.h"
 #include "testing_util.h"
 
@@ -60,6 +66,13 @@ std::string Post(uint16_t port, const std::string& target,
           << "Content-Length: " << body.size() << "\r\n\r\n"
           << body;
   return RawExchange(port, request.str());
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
 }
 
 std::string BodyOf(const std::string& response) {
@@ -218,11 +231,23 @@ TEST(TransientAcceptErrorTest, ClassifiesRetryableErrnos) {
 }
 
 // ---- End to end: a dispatcher publishing into a private registry, the
-// admin plane scraping it live, and shutdown values matching the final
-// report exactly (writers quiesced ⇒ reads exact). ----
+// admin plane scraping it live, a metrics file on the same snapshots, and
+// shutdown values matching the final report exactly (one source of
+// truth: every surface renders the dispatcher's shutdown snapshot). ----
+
+/// Value of ` key=` in one metrics-file line ("" when absent).
+std::string LineValue(const std::string& line, const std::string& key) {
+  const std::string needle = " " + key + "=";
+  const size_t at = line.find(needle);
+  if (at == std::string::npos) return {};
+  const size_t begin = at + needle.size();
+  return line.substr(begin, line.find(' ', begin) - begin);
+}
 
 TEST(AdminServerTest, DispatcherRegistryMatchesFinalReportAtShutdown) {
   auto registry = std::make_unique<Registry>();
+  std::string state_dir = ::testing::TempDir() + "frt_admin_XXXXXX";
+  ASSERT_NE(mkdtemp(state_dir.data()), nullptr);
   ServiceConfig config;
   config.stream.window_size = 10;
   config.stream.batch.shards = 2;
@@ -230,13 +255,8 @@ TEST(AdminServerTest, DispatcherRegistryMatchesFinalReportAtShutdown) {
   config.stream.batch.pipeline.epsilon_global = 0.5;
   config.stream.batch.pipeline.epsilon_local = 0.5;
   config.pool_threads = 2;
+  config.state_dir = state_dir;
   config.registry = registry.get();
-
-  AdminServer::Options options;
-  options.endpoint = LoopbackEndpoint();
-  options.registry = registry.get();
-  AdminServer admin(options);
-  ASSERT_TRUE(admin.Start().ok());
 
   size_t windows_seen = 0;
   ServiceDispatcher service(
@@ -245,6 +265,25 @@ TEST(AdminServerTest, DispatcherRegistryMatchesFinalReportAtShutdown) {
         ++windows_seen;
         return Status::OK();
       });
+
+  AdminServer::Options options;
+  options.endpoint = LoopbackEndpoint();
+  options.registry = registry.get();
+  AdminServer admin(options);
+  admin.Handle("GET", "/feedz", [&service](const HttpRequest&) {
+    HttpResponse r;
+    r.body = cli::RenderFeedz(*service.snapshots().Read());
+    return r;
+  });
+  ASSERT_TRUE(admin.Start().ok());
+
+  MetricsExporter::Options metrics_options;
+  metrics_options.path = state_dir + "/metrics.log";
+  metrics_options.interval_ms = 5;
+  metrics_options.per_feed = true;
+  metrics_options.histograms = true;
+  MetricsExporter exporter(metrics_options, service.snapshots());
+  ASSERT_TRUE(exporter.Start().ok());
   ASSERT_TRUE(service.Start(20260807).ok());
 
   std::istringstream in(SyntheticCsv(40));
@@ -257,28 +296,39 @@ TEST(AdminServerTest, DispatcherRegistryMatchesFinalReportAtShutdown) {
     ASSERT_TRUE(service.Offer("alpha", t));
     ASSERT_TRUE(service.Offer("beta", std::move(t)));
   }
+  ASSERT_TRUE(service.OfferQuarantine("gamma", "injected fault"));
   // A mid-run scrape must parse and show live (possibly partial) counts.
   const std::string mid = Get(admin.bound_port(), "/metrics");
   EXPECT_NE(mid.find("# TYPE frt_serve_windows_published_total counter"),
             std::string::npos);
 
   ASSERT_TRUE(service.Finish().ok());
+  exporter.Stop();
   const ServiceReport& report = service.report();
   ASSERT_GT(report.windows_published, 0u);
+  ASSERT_GT(report.checkpoints_written, 0u);
+  EXPECT_EQ(report.feeds_quarantined, 1u);
   EXPECT_EQ(windows_seen, report.windows_published);
 
-  // Quiesced: every registry mirror agrees with the final report.
-  EXPECT_EQ(registry->GetCounter("frt_serve_windows_published_total")->value(),
-            report.windows_published);
-  EXPECT_EQ(registry->GetCounter("frt_serve_sessions_created_total")->value(),
-            report.sessions_created);
-  EXPECT_EQ(registry->GetCounter("frt_serve_trajectories_in_total")->value(),
-            report.trajectories_in);
-  EXPECT_EQ(
-      registry->GetCounter("frt_serve_trajectories_published_total")->value(),
-      report.trajectories_published);
-  EXPECT_EQ(registry->GetCounter("frt_serve_windows_refused_total")->value(),
-            report.windows_refused);
+  // Quiesced: every registry counter agrees with the final report.
+  const std::pair<const char*, size_t> counters[] = {
+      {"frt_serve_sessions_created_total", report.sessions_created},
+      {"frt_serve_sessions_evicted_total", report.sessions_evicted},
+      {"frt_serve_windows_closed_total", report.windows_closed},
+      {"frt_serve_windows_published_total", report.windows_published},
+      {"frt_serve_windows_refused_total", report.windows_refused},
+      {"frt_serve_windows_deadline_closed_total",
+       report.windows_deadline_closed},
+      {"frt_serve_trajectories_in_total", report.trajectories_in},
+      {"frt_serve_trajectories_published_total",
+       report.trajectories_published},
+      {"frt_serve_feeds_quarantined_total", report.feeds_quarantined},
+      {"frt_serve_checkpoints_written_total", report.checkpoints_written},
+      {"frt_serve_checkpoint_errors_total", report.checkpoint_errors},
+  };
+  for (const auto& [name, value] : counters) {
+    EXPECT_EQ(registry->GetCounter(name)->value(), value) << name;
+  }
 
   // And the shutdown scrape carries those exact values.
   const std::string final_scrape = Get(admin.bound_port(), "/metrics");
@@ -287,13 +337,55 @@ TEST(AdminServerTest, DispatcherRegistryMatchesFinalReportAtShutdown) {
            << report.windows_published << "\n";
   EXPECT_NE(final_scrape.find(expected.str()), std::string::npos);
 
-  // The introspection board saw the final tick.
-  auto intro = service.Introspect();
+  // The metrics file ends with the shutdown snapshot: its last frt_metrics
+  // line carries the report's counters, and the frt_feed lines after it
+  // carry exactly the epsilon strings /feedz serves.
+  std::istringstream log(ReadFile(metrics_options.path));
+  std::string line;
+  std::string last_metrics;
+  std::vector<std::string> last_feeds;
+  while (std::getline(log, line)) {
+    if (line.rfind("frt_metrics ", 0) == 0) {
+      last_metrics = line;
+      last_feeds.clear();
+    } else if (line.rfind("frt_feed ", 0) == 0) {
+      last_feeds.push_back(line);
+    }
+  }
+  const std::pair<const char*, size_t> line_counters[] = {
+      {"feeds", report.feeds},
+      {"windows_closed", report.windows_closed},
+      {"windows_published", report.windows_published},
+      {"windows_refused", report.windows_refused},
+      {"windows_deadline_closed", report.windows_deadline_closed},
+      {"trajs_in", report.trajectories_in},
+      {"trajs_published", report.trajectories_published},
+      {"feeds_quarantined", report.feeds_quarantined},
+      {"ckpt_written", report.checkpoints_written},
+      {"ckpt_errors", report.checkpoint_errors},
+  };
+  for (const auto& [key, value] : line_counters) {
+    EXPECT_EQ(LineValue(last_metrics, key), std::to_string(value)) << key;
+  }
+  EXPECT_EQ(LineValue(last_metrics, "ckpt_seq"),
+            std::to_string(report.checkpoint_sequence));
+  const std::string feedz = BodyOf(Get(admin.bound_port(), "/feedz"));
+  ASSERT_EQ(last_feeds.size(), 3u);
+  for (const std::string& feed_line : last_feeds) {
+    const std::string entry =
+        "{\"feed\":\"" + LineValue(feed_line, "feed") + "\",\"eps_spent\":\"" +
+        LineValue(feed_line, "eps_spent") + "\",\"eps_remaining\":\"" +
+        LineValue(feed_line, "eps_remaining") + "\"";
+    EXPECT_NE(feedz.find(entry), std::string::npos) << entry << "\n" << feedz;
+  }
+
+  // The snapshot board saw the final tick.
+  auto intro = service.snapshots().Read();
   ASSERT_NE(intro, nullptr);
   EXPECT_TRUE(intro->finished);
-  ASSERT_EQ(intro->feeds_detail.size(), 2u);
+  ASSERT_EQ(intro->feeds_detail.size(), 3u);
   for (const auto& feed : intro->feeds_detail) {
-    EXPECT_GT(feed.windows_published, 0u);
+    EXPECT_EQ(feed.windows_published > 0u, !feed.quarantined) << feed.feed;
   }
   EXPECT_EQ(BodyOf(Get(admin.bound_port(), "/healthz")), "ok\n");
 }

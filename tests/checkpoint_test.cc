@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -397,11 +398,11 @@ TEST(MetricsExporterTest, EmitsMachineReadableLines) {
   options.path = path;
   options.interval_ms = 10;
   options.per_feed = true;
-  MetricsExporter exporter(options);
+  obs::SnapshotBoard<ServiceSnapshot> board;
+  MetricsExporter exporter(options, board);
   ASSERT_TRUE(exporter.Start().ok());
-  EXPECT_TRUE(exporter.per_feed());
 
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 7;
   snapshot.windows_published = 3;
   snapshot.trajectories_published = 60;
@@ -410,13 +411,13 @@ TEST(MetricsExporterTest, EmitsMachineReadableLines) {
   snapshot.checkpoints_written = 5;
   snapshot.checkpoint_errors = 2;
   snapshot.feeds_quarantined = 1;
-  MetricsSnapshot::Feed feed;
+  ServiceSnapshot::Feed feed;
   feed.feed = "alpha";
   feed.epsilon_spent = 1.8;
   feed.epsilon_remaining = 7.2;
   feed.windows_published = 3;
   snapshot.feeds_detail.push_back(feed);
-  exporter.Publish(snapshot);
+  board.Publish(std::make_shared<ServiceSnapshot>(snapshot));
 
   // The exporter re-emits on every interval even without new snapshots.
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
@@ -441,13 +442,13 @@ TEST(MetricsExporterTest, EmitsStageHistogramLinesWhenEnabled) {
   options.path = path;
   options.interval_ms = 10;
   options.histograms = true;
-  MetricsExporter exporter(options);
+  obs::SnapshotBoard<ServiceSnapshot> board;
+  MetricsExporter exporter(options, board);
   ASSERT_TRUE(exporter.Start().ok());
-  EXPECT_TRUE(exporter.histograms());
 
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 1;
-  MetricsSnapshot::Stage stage;
+  ServiceSnapshot::Stage stage;
   stage.stage = "anonymize";
   stage.count = 42;
   stage.p50_ms = 1.25;
@@ -455,7 +456,7 @@ TEST(MetricsExporterTest, EmitsStageHistogramLinesWhenEnabled) {
   stage.max_ms = 12.0;
   stage.mean_ms = 2.0;
   snapshot.stages.push_back(stage);
-  exporter.Publish(snapshot);
+  board.Publish(std::make_shared<ServiceSnapshot>(snapshot));
 
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   exporter.Stop();
@@ -473,17 +474,17 @@ TEST(MetricsExporterTest, StageLinesAbsentByDefault) {
   MetricsExporter::Options options;
   options.path = path;
   options.interval_ms = 10;
-  MetricsExporter exporter(options);
+  obs::SnapshotBoard<ServiceSnapshot> board;
+  MetricsExporter exporter(options, board);
   ASSERT_TRUE(exporter.Start().ok());
-  EXPECT_FALSE(exporter.histograms());
 
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 1;
-  MetricsSnapshot::Stage stage;
+  ServiceSnapshot::Stage stage;
   stage.stage = "anonymize";
   stage.count = 1;
   snapshot.stages.push_back(stage);
-  exporter.Publish(snapshot);
+  board.Publish(std::make_shared<ServiceSnapshot>(snapshot));
 
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   exporter.Stop();
@@ -498,20 +499,21 @@ TEST(MetricsExporterTest, StopFlushesFinalPartialIntervalSnapshot) {
   // output must come from Stop()'s final flush.
   options.interval_ms = 60000;
   options.per_feed = true;
-  MetricsExporter exporter(options);
+  obs::SnapshotBoard<ServiceSnapshot> board;
+  MetricsExporter exporter(options, board);
   ASSERT_TRUE(exporter.Start().ok());
 
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 1;
-  exporter.Publish(snapshot);
+  board.Publish(std::make_shared<ServiceSnapshot>(snapshot));
   snapshot.seq = 2;
   snapshot.windows_published = 9;
-  MetricsSnapshot::Feed feed;
+  ServiceSnapshot::Feed feed;
   feed.feed = "alpha";
   feed.epsilon_spent = 0.5;
   feed.epsilon_remaining = 1.5;
   snapshot.feeds_detail.push_back(feed);
-  exporter.Publish(snapshot);
+  board.Publish(std::make_shared<ServiceSnapshot>(snapshot));
   exporter.Stop();
 
   // The final (latest) snapshot made it out, not the first.
@@ -527,13 +529,14 @@ TEST(MetricsExporterTest, SetIntervalMsRetunesTheCadence) {
   MetricsExporter::Options options;
   options.path = path;
   options.interval_ms = 60000;
-  MetricsExporter exporter(options);
+  obs::SnapshotBoard<ServiceSnapshot> board;
+  MetricsExporter exporter(options, board);
   ASSERT_TRUE(exporter.Start().ok());
   EXPECT_EQ(exporter.interval_ms(), 60000);
 
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 1;
-  exporter.Publish(snapshot);
+  board.Publish(std::make_shared<ServiceSnapshot>(snapshot));
   // Retune from one-a-minute to 5 ms: the sleeping loop must pick the
   // new cadence up and start emitting well before the old deadline.
   exporter.SetIntervalMs(5);
@@ -552,11 +555,12 @@ TEST(MetricsExporterTest, StopIsIdempotentAndStderrPathWorks) {
   MetricsExporter::Options options;
   options.path = "-";
   options.interval_ms = 1000;
-  MetricsExporter exporter(options);
+  obs::SnapshotBoard<ServiceSnapshot> board;
+  MetricsExporter exporter(options, board);
   ASSERT_TRUE(exporter.Start().ok());
-  MetricsSnapshot snapshot;
+  ServiceSnapshot snapshot;
   snapshot.seq = 1;
-  exporter.Publish(snapshot);
+  board.Publish(std::make_shared<ServiceSnapshot>(snapshot));
   exporter.Stop();
   exporter.Stop();
   EXPECT_GE(exporter.lines_written(), 1u);

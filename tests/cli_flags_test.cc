@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "service_cli.h"
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -145,6 +147,31 @@ TEST(CliFlagsTest, DurabilityFlagsParseAndValidate) {
   // Flags from other families fall through untouched.
   EXPECT_EQ(ParseOne(ParseDurabilityFlag, "--window", "40", &args),
             FlagParse::kNotMine);
+}
+
+TEST(CliFlagsTest, MetricsIntervalPacesTheTickWithoutMetricsFile) {
+  // The tick also drives /feedz and /healthz, so the flag applies even
+  // when no metrics file is written.
+  DurabilityArgs args;
+  ASSERT_EQ(
+      ParseOne(ParseDurabilityFlag, "--metrics-interval-ms", "250", &args),
+      FlagParse::kConsumed);
+  ASSERT_TRUE(args.metrics.empty());
+  ServiceConfig config;
+  ConfigureDurability(args, &config);
+  EXPECT_EQ(config.metrics_interval_ms, 250);
+}
+
+TEST(CliFlagsTest, InputFeedNamesMustBeValidFeedIds) {
+  EXPECT_TRUE(ValidateInputs({ParseInputSpec("a=x.csv"),
+                              ParseInputSpec("dir/b.csv")}));
+  for (const char* spec : {"../x=f.csv", "no/such=f.csv", "a,b=f.csv",
+                           "..=f.csv"}) {
+    EXPECT_FALSE(ValidateInputs({ParseInputSpec(spec)})) << spec;
+  }
+  // Duplicates stay rejected.
+  EXPECT_FALSE(ValidateInputs({ParseInputSpec("a=x.csv"),
+                               ParseInputSpec("a=y.csv")}));
 }
 
 TEST(CliFlagsTest, ObservabilityFlagsParseAndValidate) {

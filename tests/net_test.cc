@@ -15,6 +15,7 @@
 #include <cstring>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,6 +23,9 @@
 
 #include "net/ingress.h"
 #include "net/socket.h"
+#include "service/dispatcher.h"
+#include "stream/ingest.h"
+#include "testing_util.h"
 #include "traj/trajectory.h"
 
 namespace frt::net {
@@ -96,10 +100,10 @@ TEST(FrameTest, CrcDetectsPayloadCorruption) {
 
 TEST(FrameTest, TrajectoryPayloadRoundTripsBitIdentically) {
   const Trajectory original = MakeTrajectory(12345678901LL, 9);
-  const std::string payload = EncodeTrajectoryPayload("feed/α", original);
+  const std::string payload = EncodeTrajectoryPayload("feed α", original);
   auto decoded = DecodeTrajectoryPayload(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->feed, "feed/α");
+  EXPECT_EQ(decoded->feed, "feed α");
   EXPECT_EQ(decoded->trajectory.id(), original.id());
   ASSERT_EQ(decoded->trajectory.size(), original.size());
   for (size_t i = 0; i < original.size(); ++i) {
@@ -128,6 +132,13 @@ TEST(FrameTest, TrajectoryPayloadDecodeIsStrict) {
   const std::string empty_feed =
       EncodeTrajectoryPayload("", MakeTrajectory(1, 2));
   EXPECT_FALSE(DecodeTrajectoryPayload(empty_feed).ok());
+  // Feed ids that could name a path or break a CSV row (ValidateFeedId).
+  for (const char* bad_feed : {"../escape", "a\nb", "x/y", "a,b", ".."}) {
+    EXPECT_FALSE(DecodeTrajectoryPayload(
+                     EncodeTrajectoryPayload(bad_feed, MakeTrajectory(1, 2)))
+                     .ok())
+        << bad_feed;
+  }
   // Point count that disagrees with the remaining bytes: bump the u32
   // count that sits after the feed block and the i64 id.
   std::string bad_count = good;
@@ -441,6 +452,95 @@ TEST(IngressTest, TruncatedFrameMidHeaderQuarantines) {
   EXPECT_EQ(harness.offered.size(), 1u);
   ASSERT_EQ(harness.quarantined.size(), 1u);
   EXPECT_EQ(harness.quarantined[0].first, "t");
+}
+
+/// Two edge connections into a dispatcher-backed ingress: a clean one
+/// carrying feed "sibling", and one that sends feed "mine" and then a
+/// frame naming `bad_feed`. The invalid id is handled like an empty one:
+/// it cuts only its own connection ("mine" is quarantined), never gets a
+/// dispatcher slot, and "sibling" publishes exactly what a solo run does.
+void ExpectInvalidFeedIdCutsOnlyItsConnection(const std::string& bad_feed,
+                                              const char* tag) {
+  constexpr uint64_t kSeed = 20261018;
+  std::istringstream csv(frt::testing::SyntheticCsv(20));
+  TrajectoryReader reader(csv);
+  std::vector<Trajectory> trajs;
+  for (auto next = reader.Next(); next.ok() && next->has_value();
+       next = reader.Next()) {
+    trajs.push_back(std::move(**next));
+  }
+  ASSERT_EQ(trajs.size(), 20u);
+  ServiceConfig config;
+  config.stream.window_size = 5;
+  config.stream.batch.pipeline.m = 3;
+  config.stream.batch.pipeline.epsilon_global = 0.5;
+  config.stream.batch.pipeline.epsilon_local = 0.5;
+  config.pool_threads = 2;
+
+  frt::testing::ServiceCapture solo;
+  {
+    ServiceDispatcher service(config, solo.MakeSink());
+    ASSERT_TRUE(service.Start(kSeed).ok());
+    for (const Trajectory& t : trajs) ASSERT_TRUE(service.Offer("sibling", t));
+    ASSERT_TRUE(service.Finish().ok());
+  }
+
+  frt::testing::ServiceCapture served;
+  ServiceDispatcher service(config, served.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  Endpoint endpoint;
+  endpoint.kind = Endpoint::Kind::kUnix;
+  endpoint.path = TestSocketPath(tag);
+  IngressServer::Options options;
+  options.endpoint = endpoint;
+  options.max_connections = 2;
+  IngressServer ingress(
+      options,
+      [&service](std::string feed, Trajectory t) {
+        return service.Offer(std::move(feed), std::move(t));
+      },
+      [&service](const std::string& feed, const std::string& reason) {
+        service.OfferQuarantine(feed, reason);
+      });
+  ASSERT_TRUE(ingress.Start().ok());
+  std::string bad_wire;
+  AppendFrame(&bad_wire, FrameType::kTrajectory,
+              EncodeTrajectoryPayload("mine", trajs[0]));
+  AppendFrame(&bad_wire, FrameType::kTrajectory,
+              EncodeTrajectoryPayload(bad_feed, trajs[1]));
+  AppendFrame(&bad_wire, FrameType::kBye, {});
+  std::string clean_wire;
+  for (const Trajectory& t : trajs) {
+    AppendFrame(&clean_wire, FrameType::kTrajectory,
+                EncodeTrajectoryPayload("sibling", t));
+  }
+  AppendFrame(&clean_wire, FrameType::kBye, {});
+  SendWire(endpoint, bad_wire);
+  SendWire(endpoint, clean_wire);
+  ingress.Wait();
+  ASSERT_TRUE(service.Finish().ok());
+
+  EXPECT_EQ(ingress.stats().connections, 2u);
+  const ServiceReport& report = service.report();
+  ASSERT_EQ(report.feeds_report.size(), 2u) << "no slot for the bad id";
+  EXPECT_EQ(report.feeds_report[0].feed, "mine");
+  EXPECT_TRUE(report.feeds_report[0].quarantined);
+  EXPECT_EQ(report.feeds_report[1].feed, "sibling");
+  EXPECT_FALSE(report.feeds_report[1].quarantined);
+  EXPECT_EQ(served.feeds.count(bad_feed), 0u);
+  ASSERT_EQ(served.feeds.count("sibling"), 1u);
+  EXPECT_EQ(served.feeds.at("sibling").window_ids,
+            solo.feeds.at("sibling").window_ids);
+  EXPECT_EQ(served.feeds.at("sibling").points,
+            solo.feeds.at("sibling").points);
+}
+
+TEST(IngressTest, DotDotFeedIdCutsOnlyItsOwnConnection) {
+  ExpectInvalidFeedIdCutsOnlyItsConnection("../escape", "dotdot");
+}
+
+TEST(IngressTest, ControlByteFeedIdCutsOnlyItsOwnConnection) {
+  ExpectInvalidFeedIdCutsOnlyItsConnection("a\nb", "newline");
 }
 
 TEST(IngressTest, StopUnblocksWaitWithoutConnections) {

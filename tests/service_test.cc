@@ -525,6 +525,39 @@ TEST(ServiceTest, MultiFeedParseErrorQuarantinesEveryFeedOfTheInput) {
   }
 }
 
+TEST(ServiceTest, MultiFeedRowWithInvalidFeedIdIsAMalformedLine) {
+  // A feed id that could escape --output-dir (or break the multi-feed row
+  // format) never reaches the dispatcher: its row ends the input like any
+  // malformed line, and the feeds read before it keep the windows that
+  // closed.
+  std::istringstream single(SyntheticCsv(12));
+  std::string csv;
+  std::string line;
+  size_t rows = 0;
+  while (std::getline(single, line)) {
+    if (!line.empty() && line[0] != '#') {
+      csv += "ok," + line + "\n";
+      ++rows;
+    }
+  }
+  csv += "../x,1,10.0,10.0,1000\n";
+  std::istringstream in(csv);
+  ServiceCapture capture;
+  ServiceDispatcher service(SmallServiceConfig(5), capture.MakeSink());
+  ASSERT_TRUE(service.Start(kSeed).ok());
+  const Status ingest = IngestMultiFeedCsv(in, service);
+  EXPECT_TRUE(ingest.IsInvalidArgument()) << ingest.ToString();
+  EXPECT_NE(ingest.ToString().find("line " + std::to_string(rows + 1)),
+            std::string::npos)
+      << ingest.ToString();
+  ASSERT_TRUE(service.Finish().ok());
+  const ServiceReport& report = service.report();
+  ASSERT_EQ(report.feeds_report.size(), 1u);
+  EXPECT_EQ(report.feeds_report[0].feed, "ok");
+  EXPECT_TRUE(report.feeds_report[0].quarantined);
+  EXPECT_EQ(report.feeds_report[0].stream.windows_published, 2u);
+}
+
 TEST(ServiceTest, InputFaultPublishesExactlyTheWindowsClosedBeforeIt) {
   // 23 arrivals at window 5 close four count windows before the fault;
   // with one job in flight at a time most of them are still in the

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "traj/dataset.h"
@@ -212,6 +214,22 @@ TEST(IoTest, CommentsAndBlankLinesSkipped) {
   ASSERT_EQ(loaded->size(), 1u);
   EXPECT_EQ((*loaded)[0].size(), 2u);
   std::remove(path.c_str());
+}
+
+TEST(IoTest, FeedIdRuleRejectsPathsSeparatorsAndControlBytes) {
+  for (const std::string& ok : std::vector<std::string>{
+           "alpha", "taxi_a", "feed 7", ".hidden", "a.b", "x..y",
+           std::string(kMaxFeedIdBytes, 'f')}) {
+    EXPECT_TRUE(ValidateFeedId(ok).ok()) << ok;
+  }
+  for (const std::string& bad :
+       {std::string(), std::string("."), std::string(".."),
+        std::string("no/such/dir"), std::string("../x"),
+        std::string("a\\b"), std::string("a,b"), std::string("a\nb"),
+        std::string("tab\there"), std::string("nul\0byte", 8),
+        std::string("del\x7f"), std::string(kMaxFeedIdBytes + 1, 'f')}) {
+    EXPECT_TRUE(ValidateFeedId(bad).IsInvalidArgument()) << bad;
+  }
 }
 
 }  // namespace

@@ -226,13 +226,7 @@ int main(int argc, char** argv) {
   config.arrival_queue_capacity = config.stream.queue_capacity;
 
   frt::cli::StartTracing(args.obs);
-  std::unique_ptr<frt::MetricsExporter> metrics;
-  if (auto st = frt::cli::ConfigureDurability(args.durability, args.obs,
-                                              &config, &metrics);
-      !st.ok()) {
-    std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  frt::cli::ConfigureDurability(args.durability, &config);
 
   // ---- Upstream connection (written by the dispatcher thread only once
   // the service starts; hello/bye bracket it from this thread while the
@@ -304,6 +298,15 @@ int main(int argc, char** argv) {
   };
 
   frt::ServiceDispatcher service(std::move(config), sink);
+  // Declared after the service so it is destroyed first; stopped after
+  // Finish() so the metrics file ends with the shutdown snapshot.
+  auto exporter =
+      frt::cli::StartMetricsExporter(args.durability, args.obs, service);
+  if (!exporter.ok()) {
+    std::fprintf(stderr, "edge: %s\n", exporter.status().ToString().c_str());
+    return 1;
+  }
+  std::unique_ptr<frt::MetricsExporter> metrics = *std::move(exporter);
   if (auto st = service.Start(args.pipeline.seed); !st.ok()) {
     std::fprintf(stderr, "edge: %s\n", st.ToString().c_str());
     return 1;

@@ -200,15 +200,7 @@ int main(int argc, char** argv) {
   std::ostream& out = args.output == "-" ? std::cout : output_file;
 
   frt::cli::StartTracing(args.obs);
-  // The exporter outlives the service (the dispatcher publishes into it
-  // until Finish), so it is declared first and stopped last.
-  std::unique_ptr<frt::MetricsExporter> metrics;
-  if (auto st = frt::cli::ConfigureDurability(args.durability, args.obs,
-                                              &config, &metrics);
-      !st.ok()) {
-    std::fprintf(stderr, "stream: %s\n", st.ToString().c_str());
-    return 1;
-  }
+  frt::cli::ConfigureDurability(args.durability, &config);
 
   const bool per_object =
       config.stream.accounting == frt::BudgetAccounting::kPerObject;
@@ -248,6 +240,15 @@ int main(int argc, char** argv) {
   };
 
   frt::ServiceDispatcher service(std::move(config), sink);
+  // Declared after the service so it is destroyed first; stopped after
+  // Finish() so the metrics file ends with the shutdown snapshot.
+  auto exporter =
+      frt::cli::StartMetricsExporter(args.durability, args.obs, service);
+  if (!exporter.ok()) {
+    std::fprintf(stderr, "stream: %s\n", exporter.status().ToString().c_str());
+    return 1;
+  }
+  std::unique_ptr<frt::MetricsExporter> metrics = *std::move(exporter);
   if (auto st = service.Start(args.pipeline.seed); !st.ok()) {
     std::fprintf(stderr, "stream: %s\n", st.ToString().c_str());
     return 1;

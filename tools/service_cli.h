@@ -23,6 +23,7 @@
 #include "obs/trace_export.h"
 #include "service/dispatcher.h"
 #include "service/feed_ingest.h"
+#include "traj/io.h"
 
 namespace frt::cli {
 
@@ -37,15 +38,16 @@ inline std::pair<std::string, std::string> ParseInputSpec(
   return {FeedNameFromPath(spec), spec};
 }
 
-/// \brief Rejects empty and duplicate feed names among the --input specs.
-/// Two readers racing arrivals into one session would make window
-/// composition depend on thread interleaving.
+/// \brief Rejects invalid (ValidateFeedId) and duplicate feed names
+/// among the --input specs. Two readers racing arrivals into one session
+/// would make window composition depend on thread interleaving.
 inline bool ValidateInputs(
     const std::vector<std::pair<std::string, std::string>>& inputs) {
   std::set<std::string> seen;
   for (const auto& [name, path] : inputs) {
-    if (name.empty()) {
-      std::fprintf(stderr, "empty feed name for --input %s\n", path.c_str());
+    if (Status st = ValidateFeedId(name); !st.ok()) {
+      std::fprintf(stderr, "invalid feed name for --input %s: %s\n",
+                   path.c_str(), st.message().c_str());
       return false;
     }
     if (!seen.insert(name).second) {
@@ -86,30 +88,35 @@ inline void FinishTracing(const ObservabilityArgs& obs, Status* status) {
 }
 
 /// \brief Wires the durability flags into `config`: the checkpoint
-/// directory and cadence, and — with --metrics — a started exporter in
-/// `*metrics` that the service publishes into (it must outlive the
-/// service).
-inline Status ConfigureDurability(const DurabilityArgs& durability,
-                                  const ObservabilityArgs& obs,
-                                  ServiceConfig* config,
-                                  std::unique_ptr<MetricsExporter>* metrics) {
+/// directory and cadence, and the metrics tick cadence, which also paces
+/// /feedz and /healthz, so it is set with or without --metrics.
+inline void ConfigureDurability(const DurabilityArgs& durability,
+                                ServiceConfig* config) {
   config->state_dir = durability.state_dir;
   config->checkpoint_interval_ms = durability.checkpoint_interval_ms;
-  if (durability.metrics.empty()) return Status::OK();
-  *metrics =
-      std::make_unique<MetricsExporter>(MakeMetricsOptions(durability, obs));
-  FRT_RETURN_IF_ERROR((*metrics)->Start());
-  config->metrics = metrics->get();
   config->metrics_interval_ms = durability.metrics_interval_ms;
-  return Status::OK();
 }
 
-/// /feedz JSON from the dispatcher's introspection board. The epsilon
+/// \brief With --metrics, a started exporter reading `service`'s snapshot
+/// board; nullptr without. Declare it after the service and Stop() it
+/// after the service's Finish(), so the file ends with the shutdown
+/// snapshot.
+inline Result<std::unique_ptr<MetricsExporter>> StartMetricsExporter(
+    const DurabilityArgs& durability, const ObservabilityArgs& obs,
+    const ServiceDispatcher& service) {
+  if (durability.metrics.empty()) return {nullptr};
+  auto exporter = std::make_unique<MetricsExporter>(
+      MakeMetricsOptions(durability, obs), service.snapshots());
+  FRT_RETURN_IF_ERROR(exporter->Start());
+  return {std::move(exporter)};
+}
+
+/// /feedz JSON from the dispatcher's snapshot board. The epsilon
 /// fields are emitted as strings with the exact frt_feed line formats
 /// (eps_spent %.6f, eps_remaining %g), so a scrape taken after shutdown
 /// is bit-identical to the final per-feed report lines — and "inf" never
 /// produces an invalid JSON number.
-inline std::string RenderFeedz(const ServiceIntrospection& intro) {
+inline std::string RenderFeedz(const ServiceSnapshot& intro) {
   std::string out = StrFormat(
       "{\"seq\":%llu,\"uptime_ms\":%lld,\"finished\":%s,\"aborted\":%s,"
       "\"feeds\":%zu,\"active_sessions\":%zu,\"queue_depth\":%zu,"
@@ -121,7 +128,7 @@ inline std::string RenderFeedz(const ServiceIntrospection& intro) {
       intro.feeds, intro.active_sessions, intro.queue_depth,
       intro.backlog_windows, intro.in_flight, intro.feeds_quarantined);
   bool first = true;
-  for (const ServiceIntrospection::Feed& feed : intro.feeds_detail) {
+  for (const ServiceSnapshot::Feed& feed : intro.feeds_detail) {
     if (!first) out += ',';
     first = false;
     out += StrFormat(
@@ -144,8 +151,8 @@ inline std::string RenderFeedz(const ServiceIntrospection& intro) {
 /// \brief Starts the admin plane (--admin-listen) over a started service:
 /// the registry's /metrics, /healthz and /readyz with board-staleness
 /// checks, /feedz, and POST /control (tracing, log level, metrics
-/// cadence). Handlers read only the registry and the introspection
-/// board. Declare the result after the service so its thread joins first.
+/// cadence). Handlers read only the registry and the snapshot board.
+/// Declare the result after the service so its thread joins first.
 inline Result<std::unique_ptr<obs::AdminServer>> StartAdminPlane(
     const net::Endpoint& endpoint, const ObservabilityArgs& obs_args,
     const DurabilityArgs& durability, ServiceDispatcher& service,
@@ -158,7 +165,7 @@ inline Result<std::unique_ptr<obs::AdminServer>> StartAdminPlane(
   auto stale_after_ms = std::make_shared<std::atomic<int64_t>>(
       std::max<int64_t>(5 * durability.metrics_interval_ms, 5000));
   const auto board_age_ms =
-      [](const std::shared_ptr<const ServiceIntrospection>& intro) {
+      [](const std::shared_ptr<const ServiceSnapshot>& intro) {
         return std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - intro->published_at)
             .count();
@@ -167,7 +174,7 @@ inline Result<std::unique_ptr<obs::AdminServer>> StartAdminPlane(
                 [&service, stale_after_ms, board_age_ms](
                     const obs::HttpRequest&) {
                   obs::HttpResponse r;
-                  const auto intro = service.Introspect();
+                  const auto intro = service.snapshots().Read();
                   if (intro == nullptr) {
                     r.status = 503;
                     r.body = "starting\n";
@@ -179,7 +186,7 @@ inline Result<std::unique_ptr<obs::AdminServer>> StartAdminPlane(
                                    std::memory_order_relaxed))) {
                     r.status = 503;
                     r.body = StrFormat(
-                        "stale: introspection board is %.0f ms old (seq "
+                        "stale: snapshot board is %.0f ms old (seq "
                         "%llu)\n",
                         age_ms, static_cast<unsigned long long>(intro->seq));
                     return r;
@@ -191,7 +198,7 @@ inline Result<std::unique_ptr<obs::AdminServer>> StartAdminPlane(
                 [&service, stale_after_ms, board_age_ms](
                     const obs::HttpRequest&) {
                   obs::HttpResponse r;
-                  const auto intro = service.Introspect();
+                  const auto intro = service.snapshots().Read();
                   if (intro == nullptr) {
                     r.status = 503;
                     r.body = "starting\n";
@@ -215,7 +222,7 @@ inline Result<std::unique_ptr<obs::AdminServer>> StartAdminPlane(
   admin->Handle("GET", "/feedz", [&service](const obs::HttpRequest&) {
     obs::HttpResponse r;
     r.content_type = "application/json";
-    const auto intro = service.Introspect();
+    const auto intro = service.snapshots().Read();
     if (intro == nullptr) {
       r.status = 503;
       r.body = "{\"error\":\"starting\"}\n";
