@@ -1,6 +1,8 @@
 #include "net/ingress.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -37,7 +39,8 @@ IngressServer::IngressServer(Options options, OfferFn offer,
                              QuarantineFn quarantine)
     : options_(std::move(options)),
       offer_(std::move(offer)),
-      quarantine_(std::move(quarantine)) {
+      quarantine_(std::move(quarantine)),
+      wakeup_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
   obs::Registry* registry = options_.registry;
   connections_total_ = registry->GetCounter(
       "frt_ingress_connections_total", "Edge connections accepted");
@@ -49,6 +52,10 @@ IngressServer::IngressServer(Options options, OfferFn offer,
   quarantine_total_ = registry->GetCounter(
       "frt_ingress_quarantine_events_total",
       "Per-feed quarantine reports raised by ingress readers");
+  connections_lost_total_ = registry->GetCounter(
+      "frt_ingress_connections_lost_total",
+      "Edge connections cut by a framing fault before delivering any "
+      "trajectory");
   accept_retries_ = registry->GetCounter(
       "frt_ingress_accept_retries_total",
       "Transient ingress accept() failures retried with backoff");
@@ -61,6 +68,7 @@ IngressServer::~IngressServer() {
 
 Status IngressServer::Start() {
   if (started_) return Status::FailedPrecondition("ingress already started");
+  if (!wakeup_.valid()) return Status::IOError("ingress: eventfd failed");
   auto listener = ListenOn(options_.endpoint, options_.backlog);
   if (!listener.ok()) return listener.status();
   listener_ = std::move(listener).value();
@@ -79,12 +87,18 @@ void IngressServer::Wait() {
   stats_.trajectories = trajectories_.load(std::memory_order_relaxed);
   stats_.quarantine_events =
       quarantine_events_.load(std::memory_order_relaxed);
+  stats_.connections_lost = connections_lost_.load(std::memory_order_relaxed);
 }
 
 void IngressServer::Stop() {
   stop_.store(true, std::memory_order_relaxed);
-  // Wakes a blocking accept(); readers notice stop_ between frames.
-  listener_.ShutdownBoth();
+  // Wakes the accept thread's poll; readers notice stop_ between frames.
+  // The eventfd stays readable, so a wakeup is never lost.
+  if (wakeup_.valid()) {
+    const uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n =
+        ::write(wakeup_.fd(), &one, sizeof(one));
+  }
 }
 
 void IngressServer::AcceptLoop() {
@@ -92,12 +106,12 @@ void IngressServer::AcceptLoop() {
   size_t accepted = 0;
   int backoff_ms = 1;
   while (!stop_.load(std::memory_order_relaxed)) {
-    // Poll with a timeout so a Stop() that raced the shutdown() wakeup is
-    // still noticed promptly.
-    pollfd pfd{listener_.fd(), POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/200);
+    // Stop() sets stop_ before it signals the eventfd, so either the loop
+    // condition or this poll sees it.
+    pollfd pfds[2] = {{listener_.fd(), POLLIN, 0}, {wakeup_.fd(), POLLIN, 0}};
+    const int ready = ::poll(pfds, 2, /*timeout_ms=*/-1);
     if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0) continue;
+    if (ready <= 0 || pfds[0].revents == 0) continue;
     bool transient = false;
     auto conn = Accept(listener_, &transient);
     if (!conn.ok()) {
@@ -118,7 +132,7 @@ void IngressServer::AcceptLoop() {
                        << conn.status().message();
       break;
     }
-    if (!conn->valid()) break;  // listener shut down
+    if (!conn->valid()) break;  // listener no longer accepts
     backoff_ms = 1;
     const size_t index = ++accepted;
     stats_.connections = accepted;
@@ -144,6 +158,8 @@ void IngressServer::ReadConnection(Socket conn, size_t index) {
   std::unordered_set<std::string> quarantined;
   std::string fatal;  // framing-level fault, tears the connection down
   bool clean_bye = false;
+  // Closed before sending a byte: not a stream, so never counted as lost.
+  bool silent = true;
 
   char header_buf[kFrameHeaderSize];
   std::string payload;
@@ -160,6 +176,7 @@ void IngressServer::ReadConnection(Socket conn, size_t index) {
          !stop_.load(std::memory_order_relaxed)) {
     const auto read_start = std::chrono::steady_clock::now();
     auto got_header = ReadFull(conn.fd(), header_buf, kFrameHeaderSize);
+    silent = silent && got_header.ok() && !*got_header;
     if (!got_header.ok()) {
       fatal = got_header.status().message();
       break;
@@ -248,6 +265,11 @@ void IngressServer::ReadConnection(Socket conn, size_t index) {
                      << peer << "': " << fatal;
     for (const std::string& feed : feeds_seen) {
       quarantine_one(feed, "connection from '" + peer + "': " + fatal);
+    }
+    if (feeds_seen.empty() && !silent) {
+      // No feed to quarantine, yet a whole edge stream was lost.
+      connections_lost_.fetch_add(1, std::memory_order_relaxed);
+      connections_lost_total_->Inc();
     }
   }
   conn.Close();

@@ -73,6 +73,10 @@ class IngressServer {
     uint64_t frames = 0;        ///< frames fully read and CRC-verified
     uint64_t trajectories = 0;  ///< trajectories offered downstream
     uint64_t quarantine_events = 0;  ///< QuarantineFn invocations
+    /// Connections that sent at least one byte and were cut by a
+    /// framing-level fault before delivering any valid trajectory: a whole
+    /// edge stream lost with no feed to quarantine.
+    uint64_t connections_lost = 0;
   };
 
   IngressServer(Options options, OfferFn offer, QuarantineFn quarantine);
@@ -90,7 +94,9 @@ class IngressServer {
   void Wait();
 
   /// \brief Asynchronously stops accepting and unblocks Wait(). In-flight
-  /// readers finish their current frame and exit.
+  /// readers finish their current frame and exit. Touches only an atomic
+  /// flag and an eventfd write, so it is async-signal-safe and never races
+  /// the accept thread, which alone closes the listener.
   void Stop();
 
   /// Valid after Wait().
@@ -103,7 +109,11 @@ class IngressServer {
   Options options_;
   OfferFn offer_;
   QuarantineFn quarantine_;
+  /// Owned and closed by the accept thread only.
   Socket listener_;
+  /// eventfd Stop() writes to wake the accept thread's poll; open from
+  /// construction to destruction so a late Stop() never sees a reused fd.
+  Socket wakeup_;
   std::thread accept_thread_;
   std::vector<std::thread> readers_;
   std::atomic<bool> stop_{false};
@@ -112,12 +122,14 @@ class IngressServer {
   std::atomic<uint64_t> frames_{0};
   std::atomic<uint64_t> trajectories_{0};
   std::atomic<uint64_t> quarantine_events_{0};
+  std::atomic<uint64_t> connections_lost_{0};
   /// Registry mirrors of the per-instance counters above, plus the
   /// transient accept-retry count (which has no per-instance twin).
   obs::Counter* connections_total_ = nullptr;
   obs::Counter* frames_total_ = nullptr;
   obs::Counter* trajectories_total_ = nullptr;
   obs::Counter* quarantine_total_ = nullptr;
+  obs::Counter* connections_lost_total_ = nullptr;
   obs::Counter* accept_retries_ = nullptr;
 };
 

@@ -3,9 +3,20 @@
 //
 // After a window is anonymized, the audit measures how far the published
 // points moved: for every point of every published trajectory it finds the
-// nearest original segment (k=1 KNearest against an index over the
-// *input* dataset) and aggregates mean / max displacement. This is a pure
-// utility diagnostic — it reads both datasets and writes nothing.
+// distance to the nearest original segment (Eq. 3) and aggregates mean /
+// max displacement. This is a pure utility diagnostic — it reads both
+// datasets and writes nothing.
+//
+// The modifiers only insert and delete points (§IV-C), so nearly every
+// published point is an original vertex and its displacement is exactly
+// 0. A read-only set keyed on the raw bit patterns of the original
+// vertices answers those points without a search. A vertex enters the set
+// only when PointSegmentDistance2 (the index's own kernel) gives exactly
+// 0.0 against its own segment, so a bit-equal published point would get
+// dist2 == 0 from the search too; adding 0 to the sum and taking max with
+// 0 change nothing, so every aggregate is bit-identical to searching all
+// points. Every other point takes a k=1 KNearest against an index over
+// the *input* dataset.
 //
 // Because KNearest is read-only and thread-safe (index/segment_index.h),
 // the audit builds the segment index ONCE per window and fans the worker
@@ -28,8 +39,9 @@ namespace frt {
 
 /// Configuration of the per-window displacement audit.
 struct WindowAuditConfig {
-  /// Audits run only when enabled (they cost one index build plus one
-  /// k=1 query per published point).
+  /// Audits run only when enabled. They cost one index build, one vertex
+  /// set build, one set lookup per published point and one k=1 query per
+  /// published point that is not an original vertex.
   bool enabled = false;
   /// kNN strategy of the audit index.
   SearchStrategy strategy = SearchStrategy::kBottomUpDown;
@@ -48,6 +60,9 @@ struct WindowAuditReport {
   bool ran = false;
   /// Published points measured (sum over trajectories of size()).
   uint64_t points_audited = 0;
+  /// Of points_audited, those that bit-equal an original vertex and were
+  /// answered (displacement exactly 0) by the vertex set, without a search.
+  uint64_t points_exact = 0;
   /// Index constructions (one per audited window).
   int index_builds = 0;
   /// Wall seconds spent constructing the index.
@@ -56,7 +71,8 @@ struct WindowAuditReport {
   /// segment (meters in the paper's datasets). 0 when no points audited.
   double mean_displacement = 0.0;
   double max_displacement = 0.0;
-  /// Exact distance evaluations of the audit index.
+  /// Exact distance evaluations of the audit index. Only the searches
+  /// count: the points in points_exact add none.
   uint64_t distance_evaluations = 0;
 };
 

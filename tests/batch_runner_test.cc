@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
+#include "geo/segment.h"
 #include "synth/workload.h"
 #include "testing_util.h"
 
@@ -242,9 +246,127 @@ TEST(WindowAuditTest, PoolAndSerialRunsReportIdenticalDisplacement) {
   EXPECT_EQ(serial.index_builds, 1);
   EXPECT_GT(pooled.points_audited, 0u);
   EXPECT_EQ(pooled.points_audited, serial.points_audited);
+  EXPECT_EQ(pooled.points_exact, serial.points_exact);
   EXPECT_EQ(pooled.mean_displacement, serial.mean_displacement);
   EXPECT_EQ(pooled.max_displacement, serial.max_displacement);
   EXPECT_EQ(pooled.distance_evaluations, serial.distance_evaluations);
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Runs a one-range audit (aggregates summed in plain trajectory order) and
+/// checks every aggregate bit for bit against a brute-force reference: the
+/// minimum PointSegmentDistance2 over all original segments, then sqrt,
+/// summed in the same point order.
+WindowAuditReport ExpectAuditMatchesBruteForce(const Dataset& original,
+                                               const Dataset& published) {
+  std::vector<Segment> segments;
+  for (const Trajectory& t : original.trajectories()) {
+    for (size_t i = 0; i < t.NumSegments(); ++i) {
+      segments.push_back(t.SegmentAt(i));
+    }
+  }
+  uint64_t points = 0;
+  double sum = 0.0;
+  double max = 0.0;
+  for (const Trajectory& t : published.trajectories()) {
+    for (const TimedPoint& tp : t.points()) {
+      double best2 = std::numeric_limits<double>::infinity();
+      for (const Segment& s : segments) {
+        best2 = std::min(best2, PointSegmentDistance2(tp.p, s));
+      }
+      const double dist = std::sqrt(best2);
+      ++points;
+      sum += dist;
+      max = std::max(max, dist);
+    }
+  }
+  const double mean = points > 0 ? sum / static_cast<double>(points) : 0.0;
+
+  WindowAuditConfig config;
+  config.enabled = true;
+  config.ranges = 1;
+  const WindowAuditReport audit =
+      RunWindowAudit(original, published, config, nullptr);
+  EXPECT_TRUE(audit.ran);
+  EXPECT_EQ(audit.points_audited, points);
+  EXPECT_EQ(Bits(audit.mean_displacement), Bits(mean));
+  EXPECT_EQ(Bits(audit.max_displacement), Bits(max));
+  EXPECT_LE(audit.points_exact, audit.points_audited);
+  return audit;
+}
+
+Dataset OneTrajectory(const std::vector<Point>& points) {
+  Trajectory t(1);
+  for (size_t i = 0; i < points.size(); ++i) {
+    t.Append(points[i], static_cast<int64_t>(i));
+  }
+  return Dataset({t});
+}
+
+TEST(WindowAuditTest, EndpointFastPathMatchesBruteForce) {
+  {
+    SCOPED_TRACE("tie-heavy road-network fleet");
+    WorkloadConfig workload_config;
+    workload_config.num_taxis = 40;
+    workload_config.target_points = 80;
+    workload_config.drive_noise = 0.0;
+    workload_config.dwell_noise = 0.0;
+    RoadGenConfig road_config;
+    road_config.cols = 12;
+    road_config.rows = 12;
+    auto workload = GenerateTaxiWorkload(workload_config, road_config, 1313);
+    ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+    FrequencyRandomizer pipeline(SmallPipeline());
+    Rng rng(7);
+    auto published = pipeline.Anonymize(workload->dataset, rng);
+    ASSERT_TRUE(published.ok()) << published.status().ToString();
+    const WindowAuditReport audit =
+        ExpectAuditMatchesBruteForce(workload->dataset, *published);
+    EXPECT_GT(audit.points_exact, 0u);
+    EXPECT_LT(audit.points_exact, audit.points_audited);
+  }
+  {
+    SCOPED_TRACE("zero-length segment from a repeated point");
+    const Dataset original =
+        OneTrajectory({{0.0, 0.0}, {2.0, 1.0}, {2.0, 1.0}, {5.0, 3.0}});
+    const WindowAuditReport audit = ExpectAuditMatchesBruteForce(
+        original, OneTrajectory({{2.0, 1.0}, {0.0, 0.0}, {3.0, 2.0}}));
+    EXPECT_EQ(audit.points_exact, 2u);
+  }
+  {
+    SCOPED_TRACE("published point on a b-only endpoint");
+    // t = (r·d) · inv_len2 rounds below 1 for this segment, so the kernel
+    // leaves a tiny residual at b: the point must take the search.
+    const Point a{0.1, 0.2};
+    const Point b{0.1 + 0.1, 0.2 + 2 * 0.3};
+    ASSERT_NE(PointSegmentDistance2(b, Segment{a, b}), 0.0);
+    const WindowAuditReport audit =
+        ExpectAuditMatchesBruteForce(OneTrajectory({a, b}), OneTrajectory({b}));
+    EXPECT_EQ(audit.points_exact, 0u);
+    EXPECT_GT(audit.max_displacement, 0.0);
+  }
+  {
+    SCOPED_TRACE("-0.0 against +0.0");
+    const Dataset original = OneTrajectory({{0.0, 0.0}, {0.0, 4.0}});
+    const WindowAuditReport audit = ExpectAuditMatchesBruteForce(
+        original, OneTrajectory({{-0.0, 0.0}, {0.0, -0.0}, {0.0, 0.0}}));
+    EXPECT_EQ(audit.points_exact, 1u);  // only the bit-equal point
+  }
+  {
+    SCOPED_TRACE("one ulp off a vertex");
+    const Dataset original = OneTrajectory({{1.5, 2.5}, {4.0, 6.0}});
+    const double inf = std::numeric_limits<double>::infinity();
+    const WindowAuditReport audit = ExpectAuditMatchesBruteForce(
+        original, OneTrajectory({{std::nextafter(1.5, inf), 2.5},
+                                 {1.5, std::nextafter(2.5, -inf)}}));
+    EXPECT_EQ(audit.points_exact, 0u);
+    EXPECT_GT(audit.max_displacement, 0.0);
+  }
 }
 
 TEST(WindowAuditTest, DisabledOrEmptyAuditDoesNotRun) {

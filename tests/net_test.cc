@@ -3,8 +3,9 @@
 // payload validation, endpoint parsing, UDS and TCP loopbacks with
 // partial-read semantics, and the IngressServer's two-tier quarantine
 // contract — framing faults kill the connection and quarantine every feed
-// it delivered, semantic faults quarantine only the feed named in the
-// payload while the stream keeps going.
+// it delivered (or count it as lost when it delivered none), semantic
+// faults quarantine only the feed named in the payload while the stream
+// keeps going.
 
 #include "net/frame.h"
 
@@ -364,6 +365,8 @@ TEST(IngressTest, CorruptFrameQuarantinesEveryFeedOnTheConnection) {
   EXPECT_EQ(quarantined_feeds, (std::set<std::string>{"a", "b"}))
       << "every feed the connection delivered — and nothing after the "
          "fault — must be quarantined";
+  EXPECT_EQ(server.stats().connections_lost, 0u)
+      << "a connection whose feeds were quarantined is not lost";
 }
 
 TEST(IngressTest, SemanticDecodeFaultQuarantinesOnlyTheNamedFeed) {
@@ -541,6 +544,73 @@ TEST(IngressTest, DotDotFeedIdCutsOnlyItsOwnConnection) {
 
 TEST(IngressTest, ControlByteFeedIdCutsOnlyItsOwnConnection) {
   ExpectInvalidFeedIdCutsOnlyItsConnection("a\nb", "newline");
+}
+
+TEST(IngressTest, BadCrcFirstFrameCountsALostConnection) {
+  // A connection whose first frame fails its CRC has delivered no feed,
+  // so nothing is quarantined; it must still be counted as lost. A
+  // connection that closes without a byte is not a stream and is not
+  // counted, and the sibling feed publishes every window.
+  std::istringstream csv(frt::testing::SyntheticCsv(20));
+  TrajectoryReader reader(csv);
+  std::vector<Trajectory> trajs;
+  for (auto next = reader.Next(); next.ok() && next->has_value();
+       next = reader.Next()) {
+    trajs.push_back(std::move(**next));
+  }
+  ASSERT_EQ(trajs.size(), 20u);
+  ServiceConfig config;
+  config.stream.window_size = 5;
+  config.stream.batch.pipeline.m = 3;
+  config.pool_threads = 2;
+  frt::testing::ServiceCapture served;
+  ServiceDispatcher service(config, served.MakeSink());
+  ASSERT_TRUE(service.Start(7).ok());
+
+  obs::Registry registry;
+  IngressServer::Options options;
+  options.endpoint.kind = Endpoint::Kind::kUnix;
+  options.endpoint.path = TestSocketPath("lost");
+  options.max_connections = 3;
+  options.registry = &registry;
+  IngressServer ingress(
+      options,
+      [&service](std::string feed, Trajectory t) {
+        return service.Offer(std::move(feed), std::move(t));
+      },
+      [&service](const std::string& feed, const std::string& reason) {
+        service.OfferQuarantine(feed, reason);
+      });
+  ASSERT_TRUE(ingress.Start().ok());
+
+  std::string corrupt;
+  AppendFrame(&corrupt, FrameType::kTrajectory,
+              EncodeTrajectoryPayload("lost", trajs[0]));
+  corrupt[kFrameHeaderSize] ^= static_cast<char>(0xFF);
+  SendWire(options.endpoint, corrupt);
+  ASSERT_TRUE(ConnectTo(options.endpoint).ok());  // closes at once
+  std::string clean_wire;
+  for (const Trajectory& t : trajs) {
+    AppendFrame(&clean_wire, FrameType::kTrajectory,
+                EncodeTrajectoryPayload("sibling", t));
+  }
+  AppendFrame(&clean_wire, FrameType::kBye, {});
+  SendWire(options.endpoint, clean_wire);
+  ingress.Wait();
+  ASSERT_TRUE(service.Finish().ok());
+
+  EXPECT_EQ(ingress.stats().connections, 3u);
+  EXPECT_EQ(ingress.stats().connections_lost, 1u);
+  EXPECT_EQ(ingress.stats().quarantine_events, 0u);
+  EXPECT_EQ(registry.GetCounter("frt_ingress_connections_lost_total", "")
+                ->value(),
+            1u);
+  const ServiceReport& report = service.report();
+  ASSERT_EQ(report.feeds_report.size(), 1u);
+  EXPECT_EQ(report.feeds_report[0].feed, "sibling");
+  EXPECT_FALSE(report.feeds_report[0].quarantined);
+  ASSERT_EQ(served.feeds.count("sibling"), 1u);
+  EXPECT_EQ(served.feeds.at("sibling").window_ids.size(), 4u);
 }
 
 TEST(IngressTest, StopUnblocksWaitWithoutConnections) {

@@ -16,8 +16,10 @@
 // reader, fills the kernel buffers, and stalls the edge's writes. A
 // malformed or corrupt frame quarantines the feeds on that connection
 // (their output stops at the fault; exit code 3) without disturbing any
-// other feed. --listen-conns N exits cleanly after N edge streams end;
-// otherwise stop ingest with SIGINT/SIGTERM and the service drains.
+// other feed; a connection cut that way before it delivered any
+// trajectory is counted as lost (also exit code 3). --listen-conns N
+// exits cleanly after N edge streams end; otherwise stop ingest with
+// SIGINT/SIGTERM and the service drains.
 //
 // Each feed gets its own session: its own window assembler, its own
 // wholesale/per-object budget ledgers, and its own deterministic RNG
@@ -57,8 +59,8 @@
 //
 // Exit codes: 0 = every window of every feed published; 3 = completed but
 // at least one feed had a window refused (or object evicted) on budget,
-// or was quarantined on a malformed stream; 1 = runtime error; 2 = usage
-// error.
+// or was quarantined on a malformed stream, or an edge connection was
+// lost; 1 = runtime error; 2 = usage error.
 
 #include <atomic>
 #include <csignal>
@@ -99,7 +101,7 @@ struct Args {
 };
 
 /// The ingress server a SIGINT/SIGTERM should stop (Stop() is one atomic
-/// store plus a shutdown(2) — both async-signal-safe).
+/// store plus an eventfd write(2) — both async-signal-safe).
 std::atomic<frt::net::IngressServer*> g_ingress{nullptr};
 
 void StopIngressOnSignal(int) {
@@ -401,6 +403,7 @@ int main(int argc, char** argv) {
 
   // ---- Ingest. ----
   frt::Status ingest_status = frt::Status::OK();
+  uint64_t connections_lost = 0;
   if (listen_endpoint.has_value()) {
     frt::net::IngressServer::Options ingress_options;
     ingress_options.endpoint = *listen_endpoint;
@@ -433,11 +436,14 @@ int main(int argc, char** argv) {
     const frt::net::IngressServer::Stats& stats = ingress.stats();
     std::fprintf(stderr,
                  "ingress: %llu connection(s), %llu frame(s), %llu "
-                 "trajectories, %llu quarantine event(s)\n",
+                 "trajectories, %llu quarantine event(s), %llu lost "
+                 "connection(s)\n",
                  static_cast<unsigned long long>(stats.connections),
                  static_cast<unsigned long long>(stats.frames),
                  static_cast<unsigned long long>(stats.trajectories),
-                 static_cast<unsigned long long>(stats.quarantine_events));
+                 static_cast<unsigned long long>(stats.quarantine_events),
+                 static_cast<unsigned long long>(stats.connections_lost));
+    connections_lost = stats.connections_lost;
   } else if (!args.feeds.empty()) {
     std::ifstream feeds_file;
     if (args.feeds != "-") {
@@ -525,6 +531,13 @@ int main(int argc, char** argv) {
                  "%zu feed(s) quarantined: their streams were cut off at "
                  "the fault; every other feed published normally\n",
                  report.feeds_quarantined);
+    exit_code = 3;
+  }
+  if (connections_lost > 0) {
+    std::fprintf(stderr,
+                 "%llu edge connection(s) lost: cut by a framing fault "
+                 "before delivering any trajectory\n",
+                 static_cast<unsigned long long>(connections_lost));
     exit_code = 3;
   }
   if (frt::ServiceHadRefusals(report)) {
